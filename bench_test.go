@@ -307,15 +307,6 @@ func BenchmarkSolverIncremental(b *testing.B) {
 	b.Run("full", bench.SolverIncremental(true))
 }
 
-// BenchmarkFlowSharded streams bulk fluid flows over the domain-sharded
-// fabric (scoped per-domain engines plus the epoch-folded boundary
-// solver) at worker budgets 1 and 4; results are identical, only
-// wall-clock differs.
-func BenchmarkFlowSharded(b *testing.B) {
-	b.Run("d1", bench.FlowSharded(1))
-	b.Run("d4", bench.FlowSharded(4))
-}
-
 // BenchmarkFlowScale1M runs bisection flows over a 1,048,576-endpoint
 // Dragonfly at flow fidelity — the million-endpoint scale row. The
 // fabric builds once and is cached across b.N ramps (~10 s, ~3 GiB).
@@ -341,19 +332,6 @@ func BenchmarkTopoBuild(b *testing.B) { bench.TopoBuild(b) }
 // BenchmarkRunCell measures one full congestion-grid cell per iteration —
 // the unit the Fig. 9-14 grids scale by.
 func BenchmarkRunCell(b *testing.B) { bench.RunCell(b) }
-
-// BenchmarkParallelRun streams cross-group traffic over a 4096-endpoint
-// Dragonfly on the domain-sharded engine at worker budgets 1/2/4/8; the
-// decomposition is fixed, so the budgets differ only in wall-clock time.
-func BenchmarkParallelRun(b *testing.B) {
-	for _, d := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("d%d", d), bench.ParallelRun(d))
-	}
-}
-
-// BenchmarkMailboxExchange measures the raw cross-shard mailbox path
-// (post, canonical merge, re-schedule) — 0 allocs/msg in steady state.
-func BenchmarkMailboxExchange(b *testing.B) { bench.MailboxExchange(b) }
 
 // engineTicker drives BenchmarkEngineThroughput through the closure-free
 // Handler interface — the same dispatch path the fabric uses.

@@ -9,8 +9,7 @@
 //	# and exits non-zero when ns/unit regresses past -max-regress.
 //	go run ./cmd/benchreport -baseline BENCH_hotpath.json -out BENCH_new.json
 //
-// Each row reports ns, allocations and bytes per unit (packet / cell) and
-// the sharded-engine domain budget where one applies (0 = classic engine),
+// Each row reports ns, allocations and bytes per unit (packet / cell),
 // and the meta block stamps the git revision, Go toolchain, and whether
 // the simlint source-level invariant gate held (simlint_clean), so
 // successive baselines are directly comparable and attributable. CI runs
@@ -63,7 +62,7 @@ func main() {
 	res.Meta.Rev = gitRev()
 	res.Meta.GoVersion = runtime.Version()
 	res.Meta.SimlintClean, res.Meta.SpineFuncs = simlintClean(os.Stderr)
-	t := res.AddTable("benchmarks", "benchmark", "unit", "domains", "iters", "ns/unit", "allocs/unit", "B/unit", "ns/sim-byte")
+	t := res.AddTable("benchmarks", "benchmark", "unit", "iters", "ns/unit", "allocs/unit", "B/unit", "ns/sim-byte")
 	start := time.Now()
 	for _, bm := range bench.Suite() {
 		fmt.Fprintf(os.Stderr, "benchreport: running %s...\n", bm.Name)
@@ -79,7 +78,6 @@ func main() {
 		t.Row(
 			results.String(bm.Name),
 			results.String(bm.Unit),
-			results.Int(int64(bm.Domains)),
 			results.Int(int64(r.N)),
 			results.Float(nsPerUnit, 1),
 			results.Float(float64(r.MemAllocs)/float64(r.N), 2),
@@ -207,7 +205,7 @@ func benchRows(r *results.Result) map[string]benchRow {
 
 // delta returns the relative change from old to cur (positive = worse for
 // cost metrics). A zero baseline is a contract, not a ratio: rows that
-// committed 0 allocs/unit (FlowEngine, MailboxExchange, the ChoosePath
+// committed 0 allocs/unit (FlowEngine, the ChoosePath
 // hot policies) regress the moment the metric becomes measurable, so any
 // value past rounding noise reports as an infinite regression instead of
 // dividing away to nothing.

@@ -86,7 +86,6 @@ type runConfig struct {
 	seeds    string
 	ppn      int
 	jobs     int
-	domains  int
 	set      string
 	panel    string
 	topo     string
@@ -106,9 +105,6 @@ func runFlags(c *runConfig) *flag.FlagSet {
 	fs.IntVar(&c.ppn, "ppn", 0,
 		"aggressor processes per node / fig6 ranks per node (0 = experiment default, usually 1)")
 	fs.IntVar(&c.jobs, "jobs", 0, "worker pool size for independent grid points (0 = all cores)")
-	fs.IntVar(&c.domains, "domains", 0,
-		"sharded parallel engine worker budget per network (0 = classic "+
-			"single-threaded engine; results are identical for every budget >= 1)")
 	fs.StringVar(&c.set, "set", "quick", "victim set for fig9/fig10: quick|apps|full")
 	fs.StringVar(&c.panel, "panel", "A", "fig10 panel: A (allocations), B (high PPN), C (small)")
 	fs.StringVar(&c.topo, "topo", "",
@@ -224,7 +220,6 @@ func run(args []string) error {
 				Seed:     seed,
 				PPN:      cfg.ppn,
 				Jobs:     cfg.jobs,
-				Domains:  cfg.domains,
 				Victims:  vs,
 				Panel:    cfg.panel,
 				Topo:     cfg.topo,
@@ -232,9 +227,9 @@ func run(args []string) error {
 				CC:       cfg.cc,
 				Fidelity: cfg.fidelity,
 			}
-			res, err := e.Run(opt)
+			res, err := e.Run(opt) // errors already name the experiment
 			if err != nil {
-				return fmt.Errorf("%s: %w", e.Name, err)
+				return err
 			}
 			if cfg.format == "json" {
 				out = append(out, res)

@@ -13,7 +13,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/sim/par"
 	"repro/internal/topology"
 	"repro/internal/workloads"
 )
@@ -165,55 +164,6 @@ func RunCell(b *testing.B) {
 	}
 }
 
-// ParallelRun streams cross-group traffic over a 4096-endpoint Dragonfly
-// (16 groups x 16 switches x 16 nodes) on the domain-sharded engine with
-// the given worker budget, counting delivered data packets: ns/op reads
-// as the per-packet cost including the epoch exchange, and comparing the
-// domains=1 row against higher budgets shows the parallel speedup (on a
-// multi-core host; the decomposition makes the numbers identical either
-// way). domains=0 measures the classic single-engine baseline on the same
-// machine shape.
-func ParallelRun(domains int) func(b *testing.B) {
-	return func(b *testing.B) {
-		topo := topology.MustNew(topology.Config{
-			Groups: 16, SwitchesPerGroup: 16, NodesPerSwitch: 16, GlobalPerPair: 2,
-		})
-		prof := fabric.SlingshotProfile()
-		prof.SwitchJitter = false
-		net := fabric.NewSharded(topo, prof, 5, domains)
-		delivered := 0
-		net.Taps.OnPacketDelivered = func(p *fabric.Packet, _ sim.Time) { delivered++ }
-
-		// 2 flows out of every group, each to the diametric group, 4
-		// outstanding 32 KiB eager messages per flow: every domain both
-		// sends and receives cross-domain traffic each epoch.
-		const msgBytes = 32 * 1024
-		npg := 16 * 16
-		b.ReportAllocs()
-		b.ResetTimer()
-		var post func(src, dst topology.NodeID)
-		post = func(src, dst topology.NodeID) {
-			if delivered >= b.N {
-				return
-			}
-			net.Send(src, dst, msgBytes, fabric.SendOpts{
-				NoRendezvous: true,
-				OnDelivered:  func(sim.Time) { post(src, dst) },
-			})
-		}
-		for g := 0; g < 16; g++ {
-			for f := 0; f < 2; f++ {
-				src := topology.NodeID(g*npg + f)
-				dst := topology.NodeID(((g+8)%16)*npg + f)
-				for w := 0; w < 4; w++ {
-					post(src, dst)
-				}
-			}
-		}
-		net.RunWhile(func() bool { return delivered < b.N })
-	}
-}
-
 // flowPoster reposts one (src, dst) bulk flow on each delivery through a
 // callback bound once at construction. Fresh closures per repost were one
 // of the former 2.0 allocs/flow in FlowEngine; SendOpts.Recycle (the
@@ -355,56 +305,6 @@ func SolverIncremental(forceFull bool) func(b *testing.B) {
 	}
 }
 
-// FlowShardedBytes is the per-flow transfer size of the FlowSharded rows.
-const FlowShardedBytes = 4 << 20
-
-// FlowSharded streams bulk fluid flows over the domain-sharded fabric:
-// two intra-group flows per group run on that domain's scoped engine
-// inside the parallel run phase, and one cross-group flow per group runs
-// on the control-side boundary engine, coupled at epoch barriers. One
-// iteration is one delivered flow; d1 vs d4 shows what the worker budget
-// buys on a fluid-dominated workload (the decomposition — and the
-// result — is identical for both).
-func FlowSharded(domains int) func(b *testing.B) {
-	return func(b *testing.B) {
-		topo := topology.MustNew(topology.Config{
-			Groups: 8, SwitchesPerGroup: 4, NodesPerSwitch: 8, GlobalPerPair: 2,
-		})
-		prof := fabric.SlingshotProfile()
-		prof.SwitchJitter = false
-		net := fabric.NewSharded(topo, prof, 5, domains)
-		net.SetFidelity(fabric.FidelityFlow)
-
-		delivered, limit := 0, 0
-		const npg = 4 * 8 // nodes per group
-		var posters []*flowPoster
-		for g := 0; g < 8; g++ {
-			base := topology.NodeID(g * npg)
-			posters = append(posters,
-				newFlowPoster(net, base, base+9, FlowShardedBytes, &delivered, &limit),
-				newFlowPoster(net, base+1, base+18, FlowShardedBytes, &delivered, &limit),
-				newFlowPoster(net, base+2, topology.NodeID(((g+4)%8)*npg+3), FlowShardedBytes, &delivered, &limit))
-		}
-		kick := func() {
-			for _, p := range posters {
-				for w := 0; w < 2; w++ {
-					p.post()
-				}
-			}
-		}
-		limit = 96
-		kick()
-		net.RunWhile(func() bool { return delivered < limit })
-		net.RunWhile(func() bool { return net.FlowsCompleted() < net.FlowsStarted() })
-
-		b.ReportAllocs()
-		b.ResetTimer()
-		delivered, limit = 0, b.N
-		kick()
-		net.RunWhile(func() bool { return delivered < b.N })
-	}
-}
-
 // FlowScaleBytes is the per-flow transfer size of the FlowScale1M row.
 const FlowScaleBytes = 16 << 20
 
@@ -506,68 +406,14 @@ func HybridRun(b *testing.B) {
 	net.RunWhile(func() bool { return delivered < b.N })
 }
 
-// mailboxBounce forwards each received event to the peer shard one
-// lookahead later — the minimal cross-shard workload.
-type mailboxBounce struct {
-	self, peer *par.Shard
-	to         sim.Handler
-	look       sim.Time
-	left       *int
-}
-
-func (h *mailboxBounce) OnEvent(e *sim.Engine, _ *sim.Event) {
-	if *h.left <= 0 {
-		return
-	}
-	*h.left--
-	h.self.Post(h.peer, e.Now()+h.look, h.to, 0, nil)
-}
-
-// MailboxExchange measures the raw cross-shard mailbox path in isolation:
-// two shards bounce a window of 64 events back and forth, so every epoch
-// posts, drains, sorts and re-schedules 64 messages. ns/op is the
-// amortized per-message exchange cost (mailbox append, canonical merge,
-// engine scheduling, epoch overhead); allocs/op pins the 0-alloc
-// steady-state contract of the exchange path.
-func MailboxExchange(b *testing.B) {
-	const look = 150 * sim.Nanosecond
-	e0, e1 := sim.NewEngine(), sim.NewEngine()
-	s0, s1 := par.NewShard(0, e0, 2), par.NewShard(1, e1, 2)
-	h0 := &mailboxBounce{self: s0, peer: s1, look: look}
-	h1 := &mailboxBounce{self: s1, peer: s0, look: look, to: h0}
-	h0.to = h1
-	c := par.New([]*par.Shard{s0, s1}, nil, look, 1)
-	left := 0
-	h0.left, h1.left = &left, &left
-
-	// Warm the mailboxes and free-lists so b.N measures steady state.
-	const window = 64
-	kick := func() {
-		for i := 0; i < window; i++ {
-			e0.Schedule(e0.Now()+look, h0, 0, nil)
-		}
-	}
-	left = window
-	kick()
-	c.Run()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	left = b.N
-	kick()
-	c.Run()
-}
-
 // Suite lists the hot-path benchmarks cmd/benchreport runs, with the unit
-// one iteration corresponds to, the sharded-engine rows' domain worker
-// budget (0 = classic engine), and — where one unit simulates a known
+// one iteration corresponds to and — where one unit simulates a known
 // payload — the simulated bytes per unit, from which benchreport derives
 // the ns-per-simulated-byte column that compares fidelities (0 = not a
 // byte-moving benchmark).
 func Suite() []struct {
 	Name     string
 	Unit     string
-	Domains  int
 	SimBytes int64
 	Fn       func(*testing.B)
 } {
@@ -577,31 +423,23 @@ func Suite() []struct {
 	return []struct {
 		Name     string
 		Unit     string
-		Domains  int
 		SimBytes int64
 		Fn       func(*testing.B)
 	}{
-		{"PacketHotPath", "packet", 0, packetBytes, PacketHotPath},
-		{"PacketHotPathFatTree", "packet", 0, packetBytes, PacketHotPathFatTree},
-		{"FlowEngine", "flow", 0, FlowEngineBytes, FlowEngine},
-		{"SolverIncremental/incremental", "event", 0, 0, SolverIncremental(false)},
-		{"SolverIncremental/full", "event", 0, 0, SolverIncremental(true)},
-		{"FlowSharded/d1", "flow", 1, FlowShardedBytes, FlowSharded(1)},
-		{"FlowSharded/d4", "flow", 4, FlowShardedBytes, FlowSharded(4)},
-		{"HybridRun", "packet", 0, packetBytes, HybridRun},
-		{"ChoosePath/minimal", "decision", 0, 0, ChoosePath("minimal")},
-		{"ChoosePath/adaptive", "decision", 0, 0, ChoosePath("adaptive")},
-		{"ChoosePath/ecmp", "decision", 0, 0, ChoosePath("ecmp")},
-		{"ChoosePath/valiant", "decision", 0, 0, ChoosePath("valiant")},
-		{"TopoBuild", "build(x3)", 0, 0, TopoBuild},
-		{"RunCell", "cell", 0, 0, RunCell},
-		{"MailboxExchange", "msg", 0, 0, MailboxExchange},
-		{"ParallelRun/d1", "packet", 1, packetBytes, ParallelRun(1)},
-		{"ParallelRun/d2", "packet", 2, packetBytes, ParallelRun(2)},
-		{"ParallelRun/d4", "packet", 4, packetBytes, ParallelRun(4)},
-		{"ParallelRun/d8", "packet", 8, packetBytes, ParallelRun(8)},
+		{"PacketHotPath", "packet", packetBytes, PacketHotPath},
+		{"PacketHotPathFatTree", "packet", packetBytes, PacketHotPathFatTree},
+		{"FlowEngine", "flow", FlowEngineBytes, FlowEngine},
+		{"SolverIncremental/incremental", "event", 0, SolverIncremental(false)},
+		{"SolverIncremental/full", "event", 0, SolverIncremental(true)},
+		{"HybridRun", "packet", packetBytes, HybridRun},
+		{"ChoosePath/minimal", "decision", 0, ChoosePath("minimal")},
+		{"ChoosePath/adaptive", "decision", 0, ChoosePath("adaptive")},
+		{"ChoosePath/ecmp", "decision", 0, ChoosePath("ecmp")},
+		{"ChoosePath/valiant", "decision", 0, ChoosePath("valiant")},
+		{"TopoBuild", "build(x3)", 0, TopoBuild},
+		{"RunCell", "cell", 0, RunCell},
 		// Last: FlowScale1M retains its ~3 GiB million-endpoint fabric
 		// for the rest of the process (see scale1M).
-		{"FlowScale1M", "flow", 0, FlowScaleBytes, FlowScale1M},
+		{"FlowScale1M", "flow", FlowScaleBytes, FlowScale1M},
 	}
 }

@@ -445,14 +445,14 @@ func TestRetryAtOrBeforeNowStillWakes(t *testing.T) {
 func TestPacketFreeListRecycles(t *testing.T) {
 	n := quietNet(t, noJitter(SlingshotProfile()))
 	sendAndWait(t, n, 0, 1, 8)
-	recycled := len(n.doms[0].pktFree)
+	recycled := len(n.pktFree)
 	if recycled == 0 {
 		t.Fatal("no packets recycled after delivery")
 	}
 	// Steady state: the same transfer reuses the freed structs and ends
 	// with the free-list at the same depth.
 	sendAndWait(t, n, 0, 1, 8)
-	if got := len(n.doms[0].pktFree); got != recycled {
+	if got := len(n.pktFree); got != recycled {
 		t.Errorf("free-list depth = %d after identical transfer, want %d", got, recycled)
 	}
 }

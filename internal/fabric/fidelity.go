@@ -93,10 +93,7 @@ const (
 func (n *Network) SetFidelity(f Fidelity) {
 	n.fid = f
 	if f == FidelityPacket {
-		n.flowEng, n.flowSet = nil, nil
-		for _, d := range n.doms {
-			d.flowEng, d.flowTicker = nil, nil
-		}
+		n.flowEng = nil
 		n.flowBG, n.flowBGEdge, n.bgOff = nil, nil, nil
 		return
 	}
@@ -110,16 +107,10 @@ func (n *Network) SetFidelity(f Fidelity) {
 	n.flowEng = flow.NewEngine(n.Topo, caps)
 	n.flowEng.Hooks = (*flowHooks)(n)
 	n.flowTickAt = sim.Forever
-	if n.par != nil {
-		// Sharded fabric: n.flowEng becomes the boundary engine and every
-		// domain gets a scoped engine of its own (fluid_sharded.go).
-		n.initShardedFluid(caps)
-	}
 
 	// Background-load tables, one slot per (switch, dense neighbor index)
-	// — the same layout as the sharded epoch snapshot — plus one per node
-	// for the switch->node edge. Written only by publishFlowBG on the
-	// control engine; read by routing and enqueue thresholds.
+	// plus one per node for the switch->node edge. Written only by
+	// publishFlowBG; read by routing and enqueue thresholds.
 	topo := n.Topo
 	n.bgOff = make([]int32, topo.Switches()+1)
 	for s := 0; s < topo.Switches(); s++ {
@@ -155,9 +146,7 @@ func (n *Network) Fidelity() Fidelity { return n.fid }
 func (n *Network) FlowsStarted() int64   { return n.flowsStarted }
 func (n *Network) FlowsCompleted() int64 { return n.flowsCompleted }
 
-// flowEligible is the hybrid hand-off rule, evaluated at injection on
-// the control side (Send never runs inside a shard epoch, so every read
-// here is of quiesced state).
+// flowEligible is the hybrid hand-off rule, evaluated at injection.
 //
 //simlint:hotpath
 func (n *Network) flowEligible(src, dst topology.NodeID, bytes int64, opts *SendOpts) bool {
@@ -172,14 +161,8 @@ func (n *Network) flowEligible(src, dst topology.NodeID, bytes int64, opts *Send
 		return false
 	}
 	// Incast hotspot: once hybridFanIn fluid flows already converge on
-	// dst, further transfers contend in queues — packet territory. Sharded
-	// fluid counts both layers: the scoped engines share one fan-in table,
-	// boundary flows live on n.flowEng.
-	fanIn := n.flowEng.ActiveTo(dst)
-	if n.flowSet != nil {
-		fanIn += int(n.flowSet.ActiveTo(dst))
-	}
-	if fanIn >= hybridFanIn {
+	// dst, further transfers contend in queues — packet territory.
+	if n.flowEng.ActiveTo(dst) >= hybridFanIn {
 		return false
 	}
 	// A pair the congestion controller is actively throttling is by
@@ -199,22 +182,17 @@ func (n *Network) flowEligible(src, dst topology.NodeID, bytes int64, opts *Send
 func (n *Network) sendFlow(m *Message) *Message {
 	lat, ack, extra := n.flowTimes(m)
 	n.flowsStarted++
-	eng, d := n.flowEngineFor(m.Src, m.Dst)
 	// Bring the engine's fluid clock to the present before admitting the
 	// flow, so the lazy solve folds in exactly at the submit time instead
 	// of smearing the new flow's rate back to the last tick.
-	eng.Advance(n.Eng.Now())
-	eng.Start(m.Src, m.Dst, m.Bytes, flow.FlowOpts{
+	n.flowEng.Advance(n.Eng.Now())
+	n.flowEng.Start(m.Src, m.Dst, m.Bytes, flow.FlowOpts{
 		ExtraBytes:   extra,
 		ExtraLatency: lat,
 		AckLatency:   ack,
 		Arg:          m,
 	})
-	if d != nil {
-		d.scheduleFlowWake()
-	} else {
-		n.scheduleFlowWake()
-	}
+	n.scheduleFlowWake()
 	return m
 }
 
@@ -301,21 +279,13 @@ func (h *flowHooks) FlowAcked(at sim.Time, arg any) {
 		m.OnAcked(at)
 	}
 	// The ack is the message's final event: an opted-in handle returns to
-	// the Send free-list here (control side only — the sharded domain
-	// hooks never recycle, their messages outlive the shard epoch).
+	// the Send free-list here.
 	if m.recycle {
 		(*Network)(h).freeMsg(m)
 	}
 }
 
-// flowTicker is the control-engine event handler that advances the fluid
-// engine. In sharded mode the control engine only runs while every shard
-// worker is parked at an epoch barrier (par.Coordinator.step advances it
-// after the run-phase barrier, and flushDeferred interleaves it with
-// deferred callbacks) — so everything a tick does, including
-// publishFlowBG's writes to the shared background tables, is sequential
-// with respect to shard execution. That is the same no-tearing rule the
-// epoch queue-depth snapshot follows.
+// flowTicker is the event handler that advances the fluid engine.
 type flowTicker Network
 
 //simlint:hotpath
@@ -365,8 +335,7 @@ func (n *Network) scheduleFlowWake() {
 // shape — rho/(1-rho) cells of standing queue — maps light load to a
 // negligible figure and saturation to a deeply-congested one, which is
 // what the consumers (PathCost scoring, the endpoint-signal and ECN
-// thresholds) calibrate against. Runs only on the control engine; see
-// flowTicker for why that cannot tear against shard readers.
+// thresholds) calibrate against.
 //
 //simlint:hotpath
 func (n *Network) publishFlowBG() {
@@ -379,22 +348,11 @@ func (n *Network) publishFlowBG() {
 		base := n.bgOff[s]
 		for i := 0; i < topo.NeighborCount(topology.SwitchID(s)); i++ {
 			rate, cap := n.flowEng.SegmentRate(topology.SwitchID(s), i)
-			if n.flowSet != nil {
-				// A segment carries boundary flows (n.flowEng) plus the
-				// owning domain's intra-domain flows; capacities agree.
-				r, _ := n.switches[s].dom.flowEng.SegmentRate(topology.SwitchID(s), i)
-				rate += r
-			}
 			n.flowBG[base+int32(i)] = bgQueueEquivalent(rate, cap)
 		}
 	}
 	for node := range n.flowBGEdge {
 		rate, cap := n.flowEng.EdgeDownRate(topology.NodeID(node))
-		if n.flowSet != nil {
-			sw := topo.SwitchOf(topology.NodeID(node))
-			r, _ := n.switches[sw].dom.flowEng.EdgeDownRate(topology.NodeID(node))
-			rate += r
-		}
 		n.flowBGEdge[node] = bgQueueEquivalent(rate, cap)
 	}
 }

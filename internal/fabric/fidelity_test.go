@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -134,81 +133,5 @@ func TestHybridBackgroundLoadVisible(t *testing.T) {
 	// A quiet node reads zero.
 	if got := n.QueuedAtEdge(1); got != 0 {
 		t.Errorf("QueuedAtEdge(quiet) = %d, want 0", got)
-	}
-}
-
-func TestHybridDeterministicAcrossWorkers(t *testing.T) {
-	// Same hybrid scenario, same domain decomposition, different worker
-	// counts: results must be byte-identical (the PR 8 rule extends to
-	// fluid background publication because it happens only on the control
-	// engine between epochs).
-	run := func(domains int) string {
-		topo := topology.MustNew(topology.Config{
-			Groups: 4, SwitchesPerGroup: 4, NodesPerSwitch: 4, GlobalPerPair: 2,
-		})
-		n := NewSharded(topo, noJitter(SlingshotProfile()), 1, domains)
-		n.SetFidelity(FidelityHybrid)
-		var log string
-		record := func(tag string) func(sim.Time) {
-			return func(at sim.Time) { log += fmt.Sprintf("%s@%d\n", tag, at) }
-		}
-		// Bulk fluid aggressors plus packet-level victims sharing links.
-		for i := 0; i < 4; i++ {
-			n.Send(topology.NodeID(i*16), 63, 8<<20, SendOpts{Bulk: true, OnDelivered: record(fmt.Sprintf("bulk%d", i))})
-		}
-		for i := 0; i < 4; i++ {
-			n.Send(topology.NodeID(1+i*16), topology.NodeID(62-i), 64<<10, SendOpts{OnDelivered: record(fmt.Sprintf("vic%d", i))})
-		}
-		n.RunFor(5 * sim.Millisecond)
-		return log
-	}
-	a, b := run(1), run(4)
-	if a != b {
-		t.Fatalf("hybrid replay diverged:\n%s\nvs\n%s", a, b)
-	}
-	if a == "" {
-		t.Fatal("no completions recorded")
-	}
-}
-
-func TestShardedFlowDeterministicAcrossWorkers(t *testing.T) {
-	// Flow fidelity on a sharded fabric: intra-group transfers run on the
-	// per-domain scoped engines inside the parallel run phase, cross-group
-	// ones on the control-side boundary engine, coupled at epoch barriers.
-	// Any worker budget must replay byte-identically (and -race runs of
-	// this test sweep the scoped engines' shard-time concurrency).
-	run := func(domains int) string {
-		topo := topology.MustNew(topology.Config{
-			Groups: 4, SwitchesPerGroup: 4, NodesPerSwitch: 4, GlobalPerPair: 2,
-		})
-		n := NewSharded(topo, noJitter(SlingshotProfile()), 1, domains)
-		n.SetFidelity(FidelityFlow)
-		var log string
-		record := func(tag string) func(sim.Time) {
-			return func(at sim.Time) { log += fmt.Sprintf("%s@%d\n", tag, at) }
-		}
-		for i := 0; i < 4; i++ {
-			// Intra-group: node i*16 and i*16+5 sit in group i.
-			n.Send(topology.NodeID(i*16), topology.NodeID(i*16+5), 4<<20,
-				SendOpts{OnDelivered: record(fmt.Sprintf("loc%d", i))})
-			// Cross-group into a common hotspot: boundary flows that share
-			// edge segments with the local ones above.
-			n.Send(topology.NodeID(2+i*16), 63, 2<<20,
-				SendOpts{OnDelivered: record(fmt.Sprintf("x%d", i))})
-		}
-		n.RunFor(5 * sim.Millisecond)
-		if got := n.FlowsCompleted(); got != 8 {
-			t.Fatalf("domains=%d: completed %d flows, want 8", domains, got)
-		}
-		return log
-	}
-	want := run(1)
-	for _, d := range []int{2, 4, 8} {
-		if got := run(d); got != want {
-			t.Fatalf("flow replay diverged at domains=%d:\n%s\nvs\n%s", d, got, want)
-		}
-	}
-	if want == "" {
-		t.Fatal("no completions recorded")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/rosetta"
 	"repro/internal/routing"
 	"repro/internal/sim"
-	"repro/internal/sim/par"
 	"repro/internal/topology"
 )
 
@@ -53,8 +52,6 @@ type Network struct {
 	// cannot perturb replay; it removes the per-packet path-construction
 	// allocations from adaptive routing. The cached paths are shared (they
 	// are handed to every routing decision) and must never be mutated.
-	// The outer slice is sized at build; rows are faulted only by the
-	// domain owning the source switch, so sharded fabrics never race on it.
 	minPaths [][][]topology.Path
 	// selfPaths[s] is the cached single-hop path {s} returned for
 	// intra-switch routing decisions; without it the src == dst shortcut
@@ -63,58 +60,46 @@ type Network struct {
 	// after build, like the minPaths entries.
 	selfPaths []topology.Path
 
-	// Sharding state (see domain.go). doms always has at least the one
-	// classic domain; par is nil in classic mode.
-	doms []*domain
-	par  *par.Coordinator
-	// snap/snapOff are the epoch-start remote-load snapshot: one slot per
-	// (switch, dense neighbor index), refreshed by each switch's owning
-	// domain at the epoch drain barrier.
-	snap    []int64
-	snapOff []int32
-	defrBuf defrMerge
-
-	// part is the topology's natural partition (initDomains); zero-valued
-	// in classic mode.
-	part topology.Partition
+	// arena is the routing policies' path-construction scratch.
+	arena topology.PathArena
+	// pktFree recycles Packet structs: packets are allocated at the
+	// source NIC and released wherever they terminate.
+	pktFree []*Packet
 
 	// Fidelity state (see fidelity.go). flowEng is nil at the packet
-	// default; the background tables mirror the snap/snapOff layout and
-	// are written only at epoch barriers (control engine). In sharded
-	// fluid mode flowEng is the control-side boundary engine and flowSet
-	// carries one scoped engine per domain (fluid_sharded.go).
-	fid        Fidelity
-	flowEng    *flow.Engine
-	flowSet    *flow.ShardSet
-	flowTickAt sim.Time
-	flowBG     []int64
-	flowBGEdge []int64
-	bgOff      []int32
+	// default; the background tables hold one slot per (switch, dense
+	// neighbor index) plus one per node, written by publishFlowBG.
+	fid                          Fidelity
+	flowEng                      *flow.Engine
+	flowTickAt                   sim.Time
+	flowBG                       []int64
+	flowBGEdge                   []int64
+	bgOff                        []int32
 	flowsStarted, flowsCompleted int64
 	// msgFree recycles opted-in (SendOpts.Recycle) Message structs so
 	// steady-state fluid Send/complete churn is allocation-free.
 	msgFree []*Message
 
 	// Stats. The embedded Counters promote, so n.PacketsDelivered etc.
-	// read as before; sharded runs fold per-domain blocks in here at each
-	// epoch barrier.
+	// read directly off the network.
 	Counters
 }
 
-// New builds a classic (single-threaded) network over the given topology
-// with the given profile. seed makes the run reproducible.
-func New(topo topology.Topology, prof Profile, seed uint64) *Network {
-	return NewSharded(topo, prof, seed, 0)
+// Counters are the fabric-wide delivery and reliability statistics.
+type Counters struct {
+	PacketsDelivered int64
+	BytesDelivered   int64
+	Signals          int64 // Slingshot back-pressure notifications emitted
+	Overdrafts       int64 // deadlock-escape credit grants (should be ~0)
+	LLRRetries       int64 // link-level retransmissions (FrameBER > 0)
+	FramesLost       int64 // frames lost on links without LLR
+	E2ERetries       int64 // NIC end-to-end retransmissions
 }
 
-// NewSharded builds a network split into the topology's natural domains
-// (Dragonfly groups, fat-tree pods, HyperX dim-0 rows) and driven by
-// conservative lock-step epochs with up to `domains` parallel workers.
-// domains <= 0 builds the classic single-threaded network (the exact
-// pre-sharding event flow). The decomposition is the topology's — never
-// the worker count's — so every sharded run of one configuration is
-// byte-identical for any domains >= 1, including 1.
-func NewSharded(topo topology.Topology, prof Profile, seed uint64, domains int) *Network {
+// New builds a network over the given topology with the given
+// profile, driven by one discrete-event engine. seed makes the run
+// reproducible.
+func New(topo topology.Topology, prof Profile, seed uint64) *Network {
 	qcfg := prof.QoS
 	if qcfg == nil {
 		qcfg = qos.DefaultConfig()
@@ -131,12 +116,16 @@ func NewSharded(topo topology.Topology, prof Profile, seed uint64, domains int) 
 		policy: prof.routingBuilder()(),
 	}
 	n.build()
-	if domains <= 0 {
-		n.initClassic()
-	} else {
-		n.initDomains(domains)
-	}
 	return n
+}
+
+// NewSharded builds the same network as New; the last argument is
+// ignored.
+//
+// Deprecated: the domain-sharded engine is gone and every network runs
+// on one engine. Use New.
+func NewSharded(topo topology.Topology, prof Profile, seed uint64, _ int) *Network {
+	return New(topo, prof, seed)
 }
 
 // NewFromProfile builds a network over the profile's own topology
@@ -152,8 +141,6 @@ func NewFromProfile(prof Profile, seed uint64) *Network {
 func (n *Network) build() {
 	topo := n.Topo
 	prof := &n.Prof
-	// The outer cache spine is sized here so sharded domains fault rows
-	// concurrently without ever touching a shared lazy allocation.
 	n.minPaths = make([][][]topology.Path, topo.Switches())
 	selfIDs := make([]topology.SwitchID, topo.Switches())
 	n.selfPaths = make([]topology.Path, topo.Switches())
@@ -286,8 +273,8 @@ type SendOpts struct {
 	// Recycle promises the caller will not retain the returned *Message
 	// past its final callback: the fabric may then return the struct to
 	// an internal free-list, making steady-state Send churn
-	// allocation-free. Honoured on the control-side fluid path (classic
-	// flow/hybrid and sharded boundary flows); other paths ignore it.
+	// allocation-free. Honoured on the fluid path (flow and hybrid
+	// fidelity); the packet path ignores it.
 	Recycle bool
 }
 
@@ -338,7 +325,7 @@ func (n *Network) allocMsg() *Message {
 }
 
 // freeMsg zeroes a completed opted-in message and returns it to the
-// free-list. Only control-side completion paths may call this.
+// free-list. Only the fluid completion path may call this.
 //
 //simlint:hotpath
 func (n *Network) freeMsg(m *Message) {
@@ -377,6 +364,7 @@ func (n *Network) ChoosePath(src, dst topology.NodeID, flowID int64, class int) 
 }
 
 // route dispatches one routing decision through the configured policy.
+//
 //simlint:hotpath
 func (n *Network) route(s *Switch, srcNode, dstNode topology.NodeID, flowID int64, class int) topology.Path {
 	src := s.ID
@@ -391,25 +379,19 @@ func (n *Network) route(s *Switch, srcNode, dstNode topology.NodeID, flowID int6
 	if cb := n.QoS.Classes[class].MinimalBias; cb > 1 {
 		bias *= cb
 	}
-	// The load view and path arena are the source switch's domain: its
-	// own queues read live, remote ones off the epoch snapshot (in classic
-	// mode the one domain owns everything, so every read is live — the
-	// pre-sharding behaviour).
 	return n.policy.Choose(n.Topo, routing.Context{
 		Src: src, Dst: dst,
 		SrcNode: srcNode, DstNode: dstNode,
 		FlowID: flowID, Class: class,
 		MinimalBias: bias,
 		RouteNoise:  n.Prof.RouteNoise,
-		Arena:       &s.dom.arena,
-	}, n.minimalPaths(src, dst), s.dom, s.rng)
+		Arena:       &n.arena,
+	}, n.minimalPaths(src, dst), n, s.rng)
 }
 
 // minimalPaths returns the cached minimal-path candidates between two
 // distinct switches, computing them on first use. Rows are per source
-// switch and lazily allocated — only ever by the domain owning the source
-// switch (routing runs at the source switch; the quiet-RTT oracle runs in
-// the source NIC's domain), so concurrent domains touch disjoint rows.
+// switch and lazily allocated.
 func (n *Network) minimalPaths(src, dst topology.SwitchID) []topology.Path {
 	row := n.minPaths[src]
 	if row == nil {
@@ -428,7 +410,10 @@ func (n *Network) minimalPaths(src, dst topology.SwitchID) []topology.Path {
 // least-loaded (parallel) egress port from switch a towards the adjacent
 // switch b — the request-queue depth §II-C scores paths by. The local
 // switch's figure is exact; remote ones arrive via the credit and ack
-// piggyback channels.
+// piggyback channels. Fluid background load adds to the figure at
+// hybrid fidelity.
+//
+//simlint:hotpath
 func (n *Network) QueuedTo(a, b topology.SwitchID) int64 {
 	ports := n.switches[a].portsTo(b)
 	least := ports[0].queuedBytes()
@@ -526,6 +511,16 @@ func (n *Network) QueuedAtEdge(node topology.NodeID) int64 {
 	o := sw.edgePort(node)
 	return o.queuedBytes() + o.bgQueued()
 }
+
+// Run executes the simulation until the event queue drains.
+func (n *Network) Run() { n.Eng.Run() }
+
+// RunUntil executes all events with At <= deadline and advances the
+// clock to the deadline.
+func (n *Network) RunUntil(deadline sim.Time) { n.Eng.RunUntil(deadline) }
+
+// RunWhile executes events while cond() holds.
+func (n *Network) RunWhile(cond func() bool) { n.Eng.RunWhile(cond) }
 
 // RunFor advances the simulation by d.
 func (n *Network) RunFor(d sim.Time) { n.RunUntil(n.Eng.Now() + d) }

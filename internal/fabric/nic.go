@@ -11,9 +11,6 @@ import (
 // injection port into its switch.
 type NIC struct {
 	net *Network
-	// dom is the NIC's owning domain (its switch's domain); all NIC-side
-	// event scheduling and clock reads go through it.
-	dom *domain
 	ID  topology.NodeID
 	cc  congestion.Controller
 	inj *outPort
@@ -110,19 +107,9 @@ func (h *nicGrantCTS) OnEvent(_ *sim.Engine, ev *sim.Event) {
 	n.pump()
 }
 
-// The end-to-end ack's event Arg packs its sample: the RTT above
-// ackRTTShift (sharded mode only; classic reads the message's ackRTT
-// word, see deliver), the acked buffer bytes in the middle field, the
-// ECN mark in bit 0. Buffer bytes top out at MaxPayload+RoCEHeaders
-// (~4.2 KB), far inside the 20-bit field; the RTT field holds ~4.4
-// simulated seconds.
-const (
-	ackRTTShift  = 21
-	ackBytesMask = (1 << 20) - 1
-)
-
 // nicAck (source-side) lands one end-to-end ack for the message in Data;
-// Arg carries the packed sample (see ackRTTShift).
+// Arg packs the acked buffer bytes above bit 0 and the ECN mark in bit 0.
+// The RTT sample rides the message (see deliver).
 type nicAck NIC
 
 //simlint:hotpath
@@ -130,18 +117,10 @@ func (h *nicAck) OnEvent(e *sim.Engine, ev *sim.Event) {
 	src := (*NIC)(h)
 	m := ev.Data.(*Message)
 	now := e.Now()
-	rtt := sim.Time(ev.Arg >> ackRTTShift)
-	if src.dom.sh == nil {
-		rtt = m.ackRTT
-	}
-	src.cc.OnAck(m.Dst, (ev.Arg>>1)&ackBytesMask, ev.Arg&1 != 0, rtt, now)
+	src.cc.OnAck(m.Dst, ev.Arg>>1, ev.Arg&1 != 0, m.ackRTT, now)
 	m.acked++
 	if m.acked >= m.numPackets && m.OnAcked != nil {
-		if src.dom.sh != nil {
-			src.dom.deferCall(now, m.OnAcked)
-		} else {
-			m.OnAcked(now)
-		}
+		m.OnAcked(now)
 	}
 	src.pump()
 }
@@ -218,12 +197,9 @@ func (n *NIC) submit(m *Message) {
 
 // pump moves packets from the per-destination message queues into the
 // injection port, subject to host readiness, the rendezvous handshake and
-// the congestion-control window/pacing. The clock is the domain's: when a
-// control-side submit pumps a sharded NIC between epochs, injection
-// quantizes to the current epoch boundary — identically for any worker
-// count.
+// the congestion-control window/pacing.
 func (n *NIC) pump() {
-	now := n.dom.eng.Now()
+	now := n.net.Eng.Now()
 	var earliest sim.Time
 	for n.inj.sched.Len() < injDepth {
 		p, retry := n.nextPacket(now)
@@ -261,9 +237,9 @@ func (n *NIC) schedulePump(at sim.Time) {
 		if n.pumpEv.At <= at {
 			return
 		}
-		n.dom.eng.Cancel(n.pumpEv)
+		n.net.Eng.Cancel(n.pumpEv)
 	}
-	n.pumpEv = n.dom.eng.Schedule(at, (*nicPump)(n), 0, nil)
+	n.pumpEv = n.net.Eng.Schedule(at, (*nicPump)(n), 0, nil)
 }
 
 // nextPacket selects the next injectable packet, round-robin over active
@@ -285,7 +261,7 @@ func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
 			if mj.Rendezvous && !mj.rtsSent && now >= mj.hostReady {
 				mj.rtsSent = true
 				n.rr = (idx + 1) % len(n.order)
-				p := n.dom.allocPacket()
+				p := n.net.allocPacket()
 				p.Msg, p.Class, p.ctrl, p.sentAt = mj, mj.Class, true, now
 				return p, 0
 			}
@@ -328,7 +304,7 @@ func (n *NIC) nextPacket(now sim.Time) (*Packet, sim.Time) {
 			continue
 		}
 		n.cc.OnSend(dst, size, now)
-		p := n.dom.allocPacket()
+		p := n.net.allocPacket()
 		p.Msg, p.Seq, p.Payload, p.Class, p.sentAt = m, m.nextSeq, int(size), m.Class, now
 		m.nextSeq++
 		if m.nextSeq >= m.numPackets {
@@ -372,24 +348,24 @@ func (n *NIC) retransmit(p *Packet) {
 	p.hop = 0
 	p.inPort = nil
 	p.ecnMarked = false
-	p.sentAt = n.dom.eng.Now()
+	p.sentAt = n.net.Eng.Now()
 	n.inj.sched.Enqueue(p.Class, int(bufBytes(p)), p)
 	n.inj.pump()
 }
 
 // deliver receives a packet off the edge link. The packet terminates
-// here: it is recycled onto the domain's free-list once the taps and ack
+// here: it is recycled onto the free-list once the taps and ack
 // scheduling have run, so taps must not retain it.
 func (n *NIC) deliver(p *Packet) {
-	now := n.dom.eng.Now()
+	now := n.net.Eng.Now()
 	m := p.Msg
 	if p.ctrl {
 		// RTS arrived: set up the receive buffer (rendezvousSetup), then
 		// grant the transfer. The CTS rides the ack path back to the
 		// source NIC (handshake state and the pump are source-side).
 		src := n.net.nics[m.Src]
-		n.dom.post(src.dom, now+rendezvousSetup+n.net.revLatency(p.Path), (*nicGrantCTS)(src), 0, m)
-		n.dom.freePacket(p)
+		n.net.Eng.Schedule(now+rendezvousSetup+n.net.revLatency(p.Path), (*nicGrantCTS)(src), 0, m)
+		n.net.freePacket(p)
 		return
 	}
 	if !m.markDelivered(p.Seq) {
@@ -401,27 +377,16 @@ func (n *NIC) deliver(p *Packet) {
 		return
 	}
 	m.delivered++
-	n.dom.ctr.PacketsDelivered++
-	n.dom.ctr.BytesDelivered += int64(p.Payload)
+	n.net.PacketsDelivered++
+	n.net.BytesDelivered += int64(p.Payload)
 	if tap := n.net.Taps.OnPacketDelivered; tap != nil {
-		// Sharded, taps are measurement/control code: they run at the
-		// epoch barrier, on a copy (the packet recycles right below), in
-		// canonical order.
-		if n.dom.sh != nil {
-			n.dom.deferTap(now, p)
-		} else {
-			tap(p, now)
-		}
+		tap(p, now)
 	}
 	if m.delivered >= m.numPackets {
 		m.DeliveredAt = now
 		n.MsgsDelivered++
 		if m.OnDelivered != nil {
-			if n.dom.sh != nil {
-				n.dom.deferCall(now, m.OnDelivered)
-			} else {
-				m.OnDelivered(now)
-			}
+			m.OnDelivered(now)
 		}
 	}
 	// End-to-end acknowledgement back to the source (§II-A: End-to-End
@@ -429,22 +394,16 @@ func (n *NIC) deliver(p *Packet) {
 	// endpoints). The ack's size and ECN mark pack into the event's Arg
 	// word because the packet struct is recycled right below. The RTT
 	// sample — injection to ack arrival, the signal delay-based CC feeds
-	// on — rides the message in classic mode (overlapping deliveries
-	// overwrite it with a fresher sample, which is fine for a rate
-	// controller and is what the goldens pin); sharded, the ack may cross
-	// domains mid-epoch, so the per-packet sample packs into Arg instead
-	// of racing through the message.
+	// on — rides the message (overlapping deliveries overwrite it with a
+	// fresher sample, which is fine for a rate controller and is what the
+	// goldens pin).
 	src := n.net.nics[m.Src]
 	arg := bufBytes(p) << 1
 	if p.ecnMarked {
 		arg |= 1
 	}
 	rev := n.net.revLatency(p.Path)
-	if n.dom.sh == nil {
-		m.ackRTT = now + rev - p.sentAt
-	} else {
-		arg |= int64(now+rev-p.sentAt) << ackRTTShift
-	}
-	n.dom.post(src.dom, now+rev, (*nicAck)(src), arg, m)
-	n.dom.freePacket(p)
+	m.ackRTT = now + rev - p.sentAt
+	n.net.Eng.Schedule(now+rev, (*nicAck)(src), arg, m)
+	n.net.freePacket(p)
 }

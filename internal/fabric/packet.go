@@ -60,9 +60,7 @@ type Message struct {
 	seen      []uint64
 	// ackRTT is the latest packet's injection-to-ack round-trip sample,
 	// set when the delivery schedules the ack and consumed by the source
-	// NIC's congestion controller (delay-based CC, §II-D). Classic mode
-	// only: sharded fabrics pack the sample into the ack event's Arg word
-	// (the delivery and the ack run in different domains).
+	// NIC's congestion controller (delay-based CC, §II-D).
 	ackRTT sim.Time
 
 	// recycle marks an opted-in (SendOpts.Recycle) handle the fabric
@@ -100,4 +98,30 @@ func (m *Message) markDelivered(seq int) bool {
 	}
 	m.seen[w] |= bit
 	return true
+}
+
+// allocPacket returns a zeroed packet from the free-list (or a fresh
+// one).
+//
+//simlint:hotpath
+func (n *Network) allocPacket() *Packet {
+	if k := len(n.pktFree); k > 0 {
+		p := n.pktFree[k-1]
+		n.pktFree[k-1] = nil
+		n.pktFree = n.pktFree[:k-1]
+		return p
+	}
+	return &Packet{} //simlint:allocok -- cold start; steady state recycles off the free-list
+}
+
+// freePacket recycles a terminated packet. Callers must guarantee no
+// live references remain (delivery taps run before release and must not
+// retain the packet). The struct is zeroed here, not at alloc, so idle
+// free-list entries do not pin their last Message (and its completion
+// closures) or Path.
+//
+//simlint:hotpath
+func (n *Network) freePacket(p *Packet) {
+	*p = Packet{}
+	n.pktFree = append(n.pktFree, p) //simlint:retained -- this IS the packet free-list: the one sanctioned retention point (see freelist analyzer)
 }

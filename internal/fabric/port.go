@@ -19,10 +19,7 @@ func bufBytes(p *Packet) int64 {
 // (a per-traffic-class DRR scheduler), the busy/serialization state, and
 // the credit count representing free space in the peer's input buffer.
 type outPort struct {
-	net *Network
-	// dom is the owning domain: the transmitting switch's (or, for an
-	// injection port, the transmitting NIC's).
-	dom   *domain
+	net   *Network
 	sched *qos.PortScheduler
 	bits  int64
 	prop  sim.Time
@@ -121,7 +118,7 @@ func (h *portWatchdog) OnEvent(_ *sim.Engine, _ *sim.Event) {
 	// Still starved: grant an overdraft credit for one packet so the
 	// fabric cannot wedge (virtual-channel escape equivalent).
 	if o.peerSw != nil && o.credits < int64(ethernet.MaxPayload+ethernet.RoCEHeaders) {
-		o.dom.ctr.Overdrafts++
+		o.net.Overdrafts++
 		o.credits += int64(ethernet.MaxPayload + ethernet.RoCEHeaders)
 	}
 	o.pump()
@@ -133,7 +130,7 @@ func (o *outPort) pump() {
 	if o.busy || o.sched.Len() == 0 {
 		return
 	}
-	now := o.dom.eng.Now()
+	now := o.net.Eng.Now()
 	max := o.credits
 	if o.peerNIC != nil {
 		max = creditUnlimited
@@ -141,7 +138,7 @@ func (o *outPort) pump() {
 	v, _, _, ok, retry := o.sched.Dequeue(now, clampInt(max))
 	if !ok {
 		if retry > 0 && o.retryEv == nil {
-			o.retryEv = o.dom.eng.Schedule(retry, (*portRetryPump)(o), 0, nil)
+			o.retryEv = o.net.Eng.Schedule(retry, (*portRetryPump)(o), 0, nil)
 		}
 		if retry == 0 && o.peerSw != nil && o.credits < o.sched.TotalQueuedBytes() {
 			o.armWatchdog(now)
@@ -186,12 +183,9 @@ func (o *outPort) transmit(p *Packet, now sim.Time) {
 	o.TxBytes += size
 
 	// Departing the current element frees the upstream input-buffer space
-	// this packet was holding; the credit travels one reverse hop. A
-	// cross-domain upstream hop is a partition-cut link — optical in all
-	// three decompositions — so its propagation is the full lookahead and
-	// the post always clears the epoch fence.
+	// this packet was holding; the credit travels one reverse hop.
 	if ip := p.inPort; ip != nil {
-		o.dom.post(ip.dom, now+ip.prop, (*portCreditReturn)(ip), size, nil)
+		o.net.Eng.Schedule(now+ip.prop, (*portCreditReturn)(ip), size, nil)
 	}
 	p.inPort = o
 
@@ -207,47 +201,42 @@ func (o *outPort) transmit(p *Packet, now sim.Time) {
 		for o.rng.Float64() < ber {
 			if !o.net.Prof.LLR {
 				lost = true
-				o.dom.ctr.FramesLost++
+				o.net.FramesLost++
 				break
 			}
-			o.dom.ctr.LLRRetries++
+			o.net.LLRRetries++
 			occupancy += o.phy.LLRDelay + ser
 		}
 	}
 
-	o.dom.eng.After(occupancy, (*portTxDone)(o), 0, nil)
+	o.net.Eng.After(occupancy, (*portTxDone)(o), 0, nil)
 	if lost {
 		o.loseFrame(p, size, occupancy, now)
 		return
 	}
-	// A cross-domain arrival crosses a partition-cut (optical) link, so
-	// occupancy + propagation is beyond the lookahead window.
 	arrival := occupancy + o.prop + phy.FECLatency
-	switch {
-	case o.peerSw != nil:
-		o.dom.post(o.peerSw.dom, now+arrival, (*switchArrive)(o.peerSw), 0, p)
-	default:
-		o.dom.eng.After(arrival+o.net.Prof.NICLatency, (*nicDeliver)(o.peerNIC), 0, p)
+	if o.peerSw != nil {
+		o.net.Eng.After(arrival, (*switchArrive)(o.peerSw), 0, p)
+	} else {
+		o.net.Eng.After(arrival+o.net.Prof.NICLatency, (*nicDeliver)(o.peerNIC), 0, p)
 	}
 }
 
 // loseFrame handles an unrecovered link error: the reserved downstream
 // buffer space returns, and the source NIC retransmits the packet after
 // its end-to-end retry timeout (§II-F: "the SLINGSHOT NIC provides
-// end-to-end retry to protect against packet loss"). The lost packet
-// migrates to the source NIC's domain for re-injection (and, with it,
-// between domain free-lists).
+// end-to-end retry to protect against packet loss").
 func (o *outPort) loseFrame(p *Packet, size int64, after, now sim.Time) {
 	if o.peerSw != nil {
-		o.dom.eng.After(after+o.prop, (*portCreditReturn)(o), size, nil)
+		o.net.Eng.After(after+o.prop, (*portCreditReturn)(o), size, nil)
 	}
 	src := o.net.nics[p.Msg.Src]
 	timeout := o.net.Prof.RetryTimeout
 	if timeout <= 0 {
 		timeout = 50 * sim.Microsecond
 	}
-	o.dom.ctr.E2ERetries++
-	o.dom.post(src.dom, now+after+timeout, (*nicRetransmit)(src), 0, p)
+	o.net.E2ERetries++
+	o.net.Eng.Schedule(now+after+timeout, (*nicRetransmit)(src), 0, p)
 }
 
 // armWatchdog schedules the deadlock-escape overdraft.
@@ -256,12 +245,12 @@ func (o *outPort) armWatchdog(now sim.Time) {
 		return
 	}
 	o.blockedSince = now
-	o.watchdogEv = o.dom.eng.Schedule(now+watchdogDelay, (*portWatchdog)(o), 0, nil)
+	o.watchdogEv = o.net.Eng.Schedule(now+watchdogDelay, (*portWatchdog)(o), 0, nil)
 }
 
 func (o *outPort) disarmWatchdog() {
 	if o.watchdogEv != nil {
-		o.dom.eng.Cancel(o.watchdogEv)
+		o.net.Eng.Cancel(o.watchdogEv)
 		o.watchdogEv = nil
 	}
 }

@@ -250,10 +250,10 @@ func TestDegradeLinkLanesNonAdjacent(t *testing.T) {
 func TestFreePacketDropsReferences(t *testing.T) {
 	n := quietNet(t, noJitter(SlingshotProfile()))
 	sendAndWait(t, n, 0, 1, 8)
-	if len(n.doms[0].pktFree) == 0 {
+	if len(n.pktFree) == 0 {
 		t.Fatal("no packets recycled")
 	}
-	for i, p := range n.doms[0].pktFree {
+	for i, p := range n.pktFree {
 		if p.Msg != nil || p.Path != nil || p.inPort != nil {
 			t.Fatalf("free-list entry %d retains references: %+v", i, p)
 		}

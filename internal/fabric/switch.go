@@ -9,9 +9,6 @@ import (
 // Switch is the runtime state of one Rosetta (or Aries) switch.
 type Switch struct {
 	net *Network
-	// dom is the switch's owning domain (its topology partition unit);
-	// all switch-side event scheduling and clock reads go through it.
-	dom *domain
 	ID  topology.SwitchID
 	rng *sim.RNG
 	lat *rosetta.LatencyModel
@@ -76,7 +73,7 @@ func (s *Switch) arrive(p *Packet) {
 	} else {
 		lat = rosetta.MeanTraversal(0, 2) // deterministic mean (~350 ns)
 	}
-	s.dom.eng.After(lat, (*switchForward)(s), 0, p)
+	s.net.Eng.After(lat, (*switchForward)(s), 0, p)
 }
 
 // forward routes the packet to its egress queue.
@@ -143,9 +140,6 @@ func (s *Switch) enqueue(o *outPort, p *Packet) {
 func (s *Switch) signalSource(p *Packet, queued int64) {
 	delay := s.net.revLatency(p.Path)
 	nic := s.net.nics[p.Msg.Src]
-	s.dom.ctr.Signals++
-	// A cross-domain notification's reverse path retraces the packet's:
-	// it includes the domain-cut optical hop, so the post always clears
-	// the epoch fence.
-	s.dom.post(nic.dom, s.dom.eng.Now()+delay, (*nicSignal)(nic), queued, p.Msg)
+	s.net.Signals++
+	s.net.Eng.After(delay, (*nicSignal)(nic), queued, p.Msg)
 }

@@ -27,8 +27,8 @@
 // calibration tests in internal/harness bound the resulting error
 // against the packet engine on golden-scale scenarios.
 //
-// Determinism: the engine is driven from a single goroutine (fabric's
-// control engine, or exactly one shard domain when sharded), every
+// Determinism: the engine is driven from a single goroutine (the
+// fabric's event engine), every
 // iteration order is slice order or canonical id order, path choice is
 // deterministic given the active flow set, and completion callbacks fire
 // in (time, enqueue-sequence) order from a binary heap. The minimal-path
@@ -125,29 +125,17 @@ type pendingCB struct {
 // parallel links between a switch pair pool into one segment, matching
 // the packet engine's round-robin port spreading — plus one per node for
 // each edge-link direction.
-//
-// A full engine (NewEngine) covers the whole topology; a scoped engine
-// (NewShardedEngines) covers one partition domain with a compact local
-// segment space, addressed through shared global->local tables. Callers
-// of a scoped engine must only name switches and nodes the scope owns.
 type Engine struct {
 	topo  topology.Topology
 	Hooks Hooks
 
-	// Segment address tables, fixed at construction. swBase maps a global
-	// switch to its fabric-segment base in THIS engine's index space (its
-	// dense neighbor index is the offset); nodeUp/nodeDn map a global node
-	// to its edge segments. For a full engine these cover every
-	// switch/node; for a scoped engine foreign entries belong to another
-	// engine's space and must never be dereferenced here.
+	// Segment address tables, fixed at construction. swBase maps a
+	// switch to its fabric-segment base (its dense neighbor index is the
+	// offset); nodeUp/nodeDn map a node to its edge segments.
 	segCap []float64 // effective bits/s per segment
 	swBase []int32
 	nodeUp []int32
 	nodeDn []int32
-	nSeg   int
-	// gid translates a local segment to its global segment id for the
-	// sharded boundary exchange; nil for full engines (identity).
-	gid []int32
 
 	maxPaths int
 	// paths caches minimal-path candidates keyed by (src switch << 32 |
@@ -165,9 +153,8 @@ type Engine struct {
 	activeTo []int32       // active bulk flows per destination node
 	memb     [][]membEntry // active flows on each segment (component BFS)
 
-	// Dirty-seed tracking: segments touched by flow starts/finishes (and
-	// external-rate changes) since the last solve, deduplicated by a
-	// generation mark.
+	// Dirty-seed tracking: segments touched by flow starts/finishes since
+	// the last solve, deduplicated by a generation mark.
 	dirty     bool
 	dirtySegs []int32
 	dirtyMark []int32
@@ -194,16 +181,6 @@ type Engine struct {
 	rated    []int32   // segments possibly carrying nonzero segRate
 	inRated  []bool    // rated-membership dedup
 
-	// ext is per-segment capacity consumed by flows living in a foreign
-	// engine (the sharded boundary exchange); nil until SetExtRate.
-	ext []float64
-
-	// Changed-segment tracking for the epoch exchange; nil until
-	// EnableChangeTracking.
-	changed []int32
-	chMark  []int32
-	chGen   int32
-
 	now        sim.Time
 	progressed float64 // whole+fractional bytes advanced since TakeProgress
 
@@ -227,7 +204,11 @@ func (o *byID) Swap(i, j int)      { o.f[i], o.f[j] = o.f[j], o.f[i] }
 // round-robin over parallel ports behaves in aggregate.
 func NewEngine(topo topology.Topology, caps Caps) *Engine {
 	sw, nodes := topo.Switches(), topo.Nodes()
-	e := newEngineShell(topo, caps.MaxPaths)
+	e := &Engine{topo: topo, maxPaths: caps.MaxPaths, dirtyGen: 1}
+	if e.maxPaths <= 0 {
+		e.maxPaths = 4
+	}
+	e.paths = make(map[int64][]topology.Path)
 	e.swBase = make([]int32, sw)
 	base := int32(0)
 	for s := 0; s < sw; s++ {
@@ -241,7 +222,15 @@ func NewEngine(topo topology.Topology, caps Caps) *Engine {
 		e.nodeUp[n] = fabricSegs + int32(n)
 		e.nodeDn[n] = fabricSegs + int32(nodes) + int32(n)
 	}
-	e.initSegs(int(fabricSegs) + 2*nodes)
+	ns := int(fabricSegs) + 2*nodes
+	e.segCap = make([]float64, ns)
+	e.segFlows = make([]int32, ns)
+	e.segStamp = make([]int32, ns)
+	e.segSlot = make([]int32, ns)
+	e.segRate = make([]float64, ns)
+	e.inRated = make([]bool, ns)
+	e.dirtyMark = make([]int32, ns)
+	e.memb = make([][]membEntry, ns)
 	for _, lk := range topo.Links() {
 		switch lk.Kind {
 		case topology.EdgeLink:
@@ -260,38 +249,11 @@ func NewEngine(topo topology.Topology, caps Caps) *Engine {
 	return e
 }
 
-// newEngineShell builds the topology-independent part of an Engine.
-func newEngineShell(topo topology.Topology, maxPaths int) *Engine {
-	e := &Engine{topo: topo, maxPaths: maxPaths, dirtyGen: 1, chGen: 1}
-	if e.maxPaths <= 0 {
-		e.maxPaths = 4
-	}
-	e.paths = make(map[int64][]topology.Path)
-	return e
-}
-
-// initSegs sizes every per-segment table for n segments.
-func (e *Engine) initSegs(n int) {
-	e.nSeg = n
-	e.segCap = make([]float64, n)
-	e.segFlows = make([]int32, n)
-	e.segStamp = make([]int32, n)
-	e.segSlot = make([]int32, n)
-	e.segRate = make([]float64, n)
-	e.inRated = make([]bool, n)
-	e.dirtyMark = make([]int32, n)
-	e.memb = make([][]membEntry, n)
-}
-
 // Now returns the engine's fluid clock (the last Advance target).
 func (e *Engine) Now() sim.Time { return e.now }
 
 // Active returns the number of in-flight flows.
 func (e *Engine) Active() int { return len(e.active) }
-
-// NSegs returns the engine's segment count (local space for scoped
-// engines).
-func (e *Engine) NSegs() int { return e.nSeg }
 
 // ActiveTo returns the number of in-flight flows destined to node n —
 // the hybrid classifier's incast fan-in signal.
@@ -309,8 +271,7 @@ func (e *Engine) SetForceFull(v bool) { e.forceFull = v }
 // SegmentRate returns the solver-allocated bits/s on the fabric segment
 // from switch s towards its nbIdx-th neighbor, and the segment's
 // capacity. Valid after the last Advance/Start (the solver runs lazily;
-// call Resolve first if rates must be fresh). Scoped engines accept only
-// switches their scope owns.
+// call Resolve first if rates must be fresh).
 func (e *Engine) SegmentRate(s topology.SwitchID, nbIdx int) (rate, cap float64) {
 	i := e.swBase[s] + int32(nbIdx)
 	return e.segRate[i], e.segCap[i]
@@ -328,67 +289,6 @@ func (e *Engine) EdgeDownRate(n topology.NodeID) (rate, cap float64) {
 func (e *Engine) EdgeUpRate(n topology.NodeID) (rate, cap float64) {
 	i := e.nodeUp[n]
 	return e.segRate[i], e.segCap[i]
-}
-
-// SegRateAt returns the allocated bits/s on segment s of this engine's
-// own index space (the exchange path reads rates by Changed() index).
-func (e *Engine) SegRateAt(s int32) float64 { return e.segRate[s] }
-
-// GlobalSeg translates one of this engine's segment indices to the
-// global (full-engine) segment id: identity for full engines.
-func (e *Engine) GlobalSeg(s int32) int32 {
-	if e.gid == nil {
-		return s
-	}
-	return e.gid[s]
-}
-
-// SetExtRate declares that flows solved in a foreign engine consume r
-// bits/s of segment s (this engine's index space), derating its
-// effective capacity for the local solver. The segment joins the dirty
-// seeds; callers must have Advanced this engine to the change's event
-// time first, then Resolve.
-func (e *Engine) SetExtRate(s int32, r float64) {
-	if e.ext == nil {
-		if r == 0 {
-			return
-		}
-		e.ext = make([]float64, e.nSeg)
-	}
-	if e.ext[s] == r {
-		return
-	}
-	e.ext[s] = r
-	e.markDirty(s)
-}
-
-// EnableChangeTracking turns on the changed-segment journal consumed by
-// the sharded epoch exchange (Changed / ResetChanged).
-func (e *Engine) EnableChangeTracking() {
-	if e.chMark == nil {
-		e.chMark = make([]int32, e.nSeg)
-	}
-}
-
-// Changed lists the segments whose allocated rate may have changed since
-// the last ResetChanged (deduplicated, unordered beyond solve order).
-func (e *Engine) Changed() []int32 { return e.changed }
-
-// ResetChanged clears the changed-segment journal.
-func (e *Engine) ResetChanged() {
-	e.changed = e.changed[:0]
-	e.chGen++
-}
-
-// markChanged journals a segment whose rate the current solve may alter.
-//
-//simlint:hotpath
-func (e *Engine) markChanged(s int32) {
-	if e.chMark == nil || e.chMark[s] == e.chGen {
-		return
-	}
-	e.chMark[s] = e.chGen
-	e.changed = append(e.changed, s)
 }
 
 // markDirty seeds the next solve's affected-component expansion with s.
@@ -414,9 +314,9 @@ func (e *Engine) TakeProgress() int64 {
 }
 
 // Resolve runs the fair-share solver if the active set changed since the
-// last solve. Exposed so background-load publication and the epoch
-// exchange can snapshot fresh rates without advancing time; the engine
-// must already stand at the set change's event time.
+// last solve. Exposed so background-load publication can snapshot fresh
+// rates without advancing time; the engine must already stand at the set
+// change's event time.
 func (e *Engine) Resolve() {
 	if e.dirty {
 		e.solve()
@@ -520,8 +420,8 @@ func (e *Engine) candidates(a, b topology.SwitchID) []topology.Path {
 }
 
 // Candidates exposes the cached minimal candidates for src->dst switches
-// (the fabric's fluid latency model and domain classifier reuse this
-// cache instead of growing their own dense rows).
+// (the fabric's fluid latency model reuses this cache instead of growing
+// its own dense rows).
 func (e *Engine) Candidates(a, b topology.SwitchID) []topology.Path {
 	return e.candidates(a, b)
 }

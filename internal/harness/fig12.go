@@ -61,7 +61,6 @@ func Fig12Bursty(opt Options, msgSizes []int64, bursts []int, gapsUS []int64) Fi
 		gapsUS = Fig12GapsUS[:]
 	}
 	sys := Malbec(opt.Nodes * 2)
-	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
 	victim := BenchVictim(workloads.AlltoallBench(128))
 	type cellSpec struct {
@@ -80,7 +79,7 @@ func Fig12Bursty(opt Options, msgSizes []int64, bursts []int, gapsUS []int64) Fi
 			}
 		}
 	}
-	cells := parallelMap(opt.gridJobs(), specs, func(c cellSpec) Fig12Cell {
+	cells := parallelMap(opt.Jobs, specs, func(c cellSpec) Fig12Cell {
 		net := sys.build(c.seed)
 		rng := sim.NewRNG(c.seed ^ 0xbeef)
 		vNodes, aNodes := placement.Split(opt.Nodes, opt.Nodes/2,

@@ -80,7 +80,7 @@ func Fig13TrafficClasses(opt Options) Fig13Result {
 		pts    []Fig13Point
 		impact float64
 	}
-	runs := parallelMap(opt.gridJobs(), []bool{false, true}, func(separate bool) run {
+	runs := parallelMap(opt.Jobs, []bool{false, true}, func(separate bool) run {
 		pts, impact := fig13Run(opt, separate)
 		return run{pts, impact}
 	})
@@ -101,7 +101,7 @@ func fig13Run(opt Options, separate bool) ([]Fig13Point, float64) {
 	if separate {
 		latClass = 1
 	}
-	net := fabric.NewSharded(topology.MustNew(sys.Topo), prof, opt.Seed, opt.Domains)
+	net := fabric.New(topology.MustNew(sys.Topo), prof, opt.Seed)
 	vNodes, aNodes := placement.Split(opt.Nodes, opt.Nodes/2, placement.Interleaved, nil)
 	vjob := mpi.NewJob(net, vNodes, mpi.JobOpts{Stack: mpi.MPI, Class: latClass, Tag: 1})
 	ajob := mpi.NewJob(net, aNodes, mpi.JobOpts{Stack: mpi.MPI, Class: 0, Tag: 2})
@@ -201,7 +201,7 @@ type Fig14Result struct {
 // network).
 func Fig14Bandwidth(opt Options) Fig14Result {
 	opt = opt.withDefaults(fig14Defaults)
-	runs := parallelMap(opt.gridJobs(), []bool{false, true}, func(separate bool) []Fig14Series {
+	runs := parallelMap(opt.Jobs, []bool{false, true}, func(separate bool) []Fig14Series {
 		return fig14Run(opt, separate)
 	})
 	return Fig14Result{SameTC: runs[0], SeparateTC: runs[1]}
@@ -213,7 +213,7 @@ func fig14Run(opt Options, separate bool) []Fig14Series {
 	prof := sys.Prof
 	prof.Taper = 0.25
 	prof.QoS = qosMinBandwidth()
-	net := fabric.NewSharded(topology.MustNew(sys.Topo), prof, opt.Seed, opt.Domains)
+	net := fabric.New(topology.MustNew(sys.Topo), prof, opt.Seed)
 
 	half := opt.Nodes / 2
 	j1Nodes, j2Nodes := placement.Split(opt.Nodes, half, placement.Interleaved, nil)

@@ -57,7 +57,6 @@ type Fig2Result struct {
 func Fig2SwitchLatency(opt Options) Fig2Result {
 	opt = opt.withDefaults(fig2Defaults)
 	sys := Shandy(opt.Nodes)
-	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
 	net := sys.build(opt.Seed)
 	nps := sys.Topo.NodesPerSwitch
@@ -126,7 +125,6 @@ var Fig4Sizes = [...]int64{8, 1024, 128 * 1024, 4 * 1024 * 1024}
 func Fig4Distance(opt Options) Fig4Result {
 	opt = opt.withDefaults(fig4Defaults)
 	sys := Shandy(opt.Nodes)
-	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
 	nps := sys.Topo.NodesPerSwitch
 	npg := nps * sys.Topo.SwitchesPerGroup
@@ -149,7 +147,7 @@ func Fig4Distance(opt Options) Fig4Result {
 			points = append(points, point{d.name, d.dst, size})
 		}
 	}
-	rows := parallelMap(opt.gridJobs(), points, func(p point) Fig4Row {
+	rows := parallelMap(opt.Jobs, points, func(p point) Fig4Row {
 		// Fresh network per point keeps points independent.
 		net := sys.build(opt.Seed)
 		lat := stats.NewSample(opt.MaxIters)
@@ -249,7 +247,6 @@ var Fig5Sizes = [...]int64{8, 64, 512, 1024, 4096, 32 * 1024, 256 * 1024, 2 << 2
 func Fig5Stacks(opt Options) Fig5Result {
 	opt = opt.withDefaults(fig5Defaults)
 	sys := Shandy(opt.Nodes)
-	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
 	npg := sys.Topo.NodesPerSwitch * sys.Topo.SwitchesPerGroup
 	type point struct {
@@ -262,7 +259,7 @@ func Fig5Stacks(opt Options) Fig5Result {
 			points = append(points, point{st, size})
 		}
 	}
-	out := parallelMap(opt.gridJobs(), points, func(p point) Fig5Point {
+	out := parallelMap(opt.Jobs, points, func(p point) Fig5Point {
 		net := sys.build(opt.Seed)
 		j := mpi.NewJob(net, []topology.NodeID{0, topology.NodeID(npg)},
 			mpi.JobOpts{Stack: p.stack})

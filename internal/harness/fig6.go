@@ -49,7 +49,6 @@ var Fig6Sizes = [...]int64{8, 32, 128, 512, 2048, 8192, 32 * 1024, 128 * 1024}
 func Fig6Bisection(opt Options) Fig6Result {
 	opt = opt.withDefaults(fig6Defaults)
 	sys := Shandy(opt.Nodes)
-	sys.Domains = opt.Domains
 	sys.Fidelity = opt.fidelity()
 	topo := topology.MustNew(sys.Topo)
 	res := Fig6Result{
@@ -68,7 +67,7 @@ func Fig6Bisection(opt Options) Fig6Result {
 	for _, size := range Fig6Sizes {
 		points = append(points, point{"alltoall", size})
 	}
-	res.Points = parallelMap(opt.gridJobs(), points, func(p point) Fig6Point {
+	res.Points = parallelMap(opt.Jobs, points, func(p point) Fig6Point {
 		if p.series == "bisection" {
 			tb := measureBisection(sys, opt.Seed, n, p.size)
 			return Fig6Point{

@@ -52,13 +52,12 @@ func Fig8Tailbench(opt Options) Fig8Result {
 	}
 	var pairs []pair
 	for _, sys := range gridSystems(opt.Nodes) {
-		sys.Domains = opt.Domains
 		sys.Fidelity = opt.fidelity()
 		for _, app := range workloads.DCAppsScaled(dcServiceScale) {
 			pairs = append(pairs, pair{sys, app})
 		}
 	}
-	entries := parallelMap(opt.gridJobs(), pairs, func(p pair) Fig8Entry {
+	entries := parallelMap(opt.Jobs, pairs, func(p pair) Fig8Entry {
 		net := p.sys.build(opt.Seed)
 		rng := sim.NewRNG(opt.Seed + 99)
 		nv := max(2, opt.Nodes/10)

@@ -105,7 +105,6 @@ func congestionGrid(opt Options, victims []Victim, alloc placement.Policy, syste
 	var points []GridPoint
 	seed := opt.Seed
 	for _, sys := range systems {
-		sys.Domains = opt.Domains
 		sys.Fidelity = opt.fidelity()
 		for _, kind := range []AggressorKind{AlltoallAggressor, IncastAggressor} {
 			for _, vf := range splits {
@@ -134,7 +133,7 @@ func congestionGrid(opt Options, victims []Victim, alloc placement.Policy, syste
 			}
 		}
 	}
-	cells := RunGrid(points, opt.gridJobs())
+	cells := RunGrid(points, opt.Jobs)
 	for i := range res.Rows {
 		res.Rows[i].Cells = cells[i*len(victims) : (i+1)*len(victims)]
 	}

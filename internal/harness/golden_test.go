@@ -59,15 +59,8 @@ func TestGoldenRunJSON(t *testing.T) {
 			if e == nil {
 				t.Fatalf("experiment %q not registered", c.name)
 			}
-			res, err := e.Run(c.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := enc.Encode(&buf, res); err != nil {
-				t.Fatal(err)
-			}
 			path := filepath.Join("testdata", fmt.Sprintf("golden_%s.json", c.name))
+			buf := goldenRun(t, enc, e, c.opt)
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
@@ -88,6 +81,59 @@ func TestGoldenRunJSON(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardedGoldenDomains pins the deprecated Options.Domains shim: every
+// network runs on one engine, so Domains: 1 must print exactly the golden
+// file the default engine prints, and any other worker budget (4 here) is
+// rejected before the experiment runs.
+func TestShardedGoldenDomains(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden runs take ~10s")
+	}
+	defer SetClock(FixedClock{})()
+	enc, err := results.NewEncoder("json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range goldenCases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			e := Lookup(c.name)
+			if e == nil {
+				t.Fatalf("experiment %q not registered", c.name)
+			}
+			path := filepath.Join("testdata", fmt.Sprintf("golden_%s.json", c.name))
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden (run TestGoldenRunJSON with -update-golden): %v", err)
+			}
+			opt := c.opt
+			opt.Domains = 1
+			if got := goldenRun(t, enc, e, opt); !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("%s with Domains: 1 diverged from golden %s.\n%s",
+					c.name, path, firstDiff(got.Bytes(), want))
+			}
+			opt.Domains = 4
+			if _, err := e.Run(opt); err == nil {
+				t.Errorf("%s with Domains: 4 ran; want the shim to reject it", c.name)
+			}
+		})
+	}
+}
+
+// goldenRun runs one experiment and returns its encoded result.
+func goldenRun(t *testing.T, enc results.Encoder, e *Experiment, opt Options) *bytes.Buffer {
+	t.Helper()
+	res, err := e.Run(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := enc.Encode(&buf, res); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
 }
 
 // firstDiff renders the first divergent region of two byte strings.

@@ -14,6 +14,7 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 
 	"repro/internal/fabric"
@@ -33,11 +34,10 @@ type Options struct {
 	// Jobs is the worker-pool width for independent grid points
 	// (0 = GOMAXPROCS, 1 = serial). Results are identical for any value.
 	Jobs int
-	// Domains is the sharded parallel engine's worker budget per network
-	// (fabric.NewSharded): 0 runs the classic single-threaded engine;
-	// any value >= 1 runs the domain-sharded engine, whose results are
-	// identical for every budget. Grid experiments divide Jobs by Domains
-	// so the two levels of parallelism compose to roughly Jobs goroutines.
+	// Domains is ignored: every network runs on one engine. A registered
+	// experiment accepts 0 or 1 and rejects any other value.
+	//
+	// Deprecated: the domain-sharded engine is gone; leave Domains zero.
 	Domains int
 	// Victims selects the grid columns for fig9/fig10
 	// (default VictimsQuick).
@@ -68,6 +68,21 @@ func (o Options) fidelity() fabric.Fidelity {
 		panic(err)
 	}
 	return f
+}
+
+// validate rejects option values no experiment accepts. It runs on the
+// options as passed, before defaults fill the zero fields.
+func (o Options) validate() error {
+	switch {
+	case o.Nodes < 0:
+		return fmt.Errorf("negative node count %d", o.Nodes)
+	case o.PPN < 0:
+		return fmt.Errorf("negative processes per node %d", o.PPN)
+	case o.Domains != 0 && o.Domains != 1:
+		return fmt.Errorf("domains %d: the sharded engine is gone, only 0 or 1 is accepted", o.Domains)
+	}
+	_, err := fabric.ParseFidelity(o.Fidelity)
+	return err
 }
 
 // withDefaults fills zero fields from an experiment's default options
@@ -103,19 +118,6 @@ func (o Options) withDefaults(d Options) Options {
 	return o
 }
 
-// gridJobs is the grid worker-pool width composed with the per-network
-// domain budget: with Domains > 1 every cell already runs Domains
-// goroutines, so the pool shrinks to keep the total near Jobs.
-func (o Options) gridJobs() int {
-	if o.Domains <= 1 {
-		return o.Jobs
-	}
-	if j := o.Jobs / o.Domains; j > 1 {
-		return j
-	}
-	return 1
-}
-
 // System couples a topology shape with a hardware profile. Dragonfly
 // systems fill Topo (the figN experiments also read its shape fields);
 // other backends set Builder, which takes precedence over it. Only when
@@ -125,8 +127,9 @@ type System struct {
 	Topo    topology.Config
 	Builder topology.Builder
 	Prof    fabric.Profile
-	// Domains is the sharded-engine worker budget passed to
-	// fabric.NewSharded (0 = classic engine); see Options.Domains.
+	// Domains is ignored.
+	//
+	// Deprecated: the domain-sharded engine is gone; leave Domains zero.
 	Domains int
 	// Fidelity is applied to every network built for this system
 	// (fabric.SetFidelity); the zero value is the packet engine.
@@ -189,7 +192,7 @@ func (s System) build(seed uint64) *fabric.Network {
 	if b == nil {
 		b = s.Topo // zero config: Validate reports the empty system
 	}
-	n := fabric.NewSharded(topology.MustBuild(b), s.Prof, seed, s.Domains)
+	n := fabric.New(topology.MustBuild(b), s.Prof, seed)
 	if s.Fidelity != fabric.FidelityPacket {
 		n.SetFidelity(s.Fidelity)
 	}

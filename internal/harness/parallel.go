@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,31 +59,68 @@ func parallelFor(n, jobs int, f func(int)) {
 // are handed out dynamically, so w carries no meaning beyond "at most
 // one f call with this w runs at a time" — exactly the property
 // per-worker arenas need.
+//
+// A panic in f does not kill the process from a worker goroutine: the
+// item's panic is recovered, no further items start, the running ones
+// finish, and the lowest panicking item is re-raised on the calling
+// goroutine as an itemPanic. Items start in index order, so that item
+// is the same for any jobs value.
 func parallelForWorkers(n, jobs int, f func(worker, i int)) {
 	jobs = poolWidth(n, jobs)
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
+	var (
+		next    atomic.Int64
+		stop    atomic.Bool
+		mu      sync.Mutex
+		failure *itemPanic
+	)
+	run := func(w, i int) {
+		defer func() {
+			if v := recover(); v != nil {
+				stop.Store(true)
+				mu.Lock()
+				if failure == nil || i < failure.item {
+					failure = &itemPanic{item: i, value: v}
 				}
-				f(w, i)
+				mu.Unlock()
 			}
-		}(w)
+		}()
+		f(w, i)
 	}
-	wg.Wait()
+	work := func(w int) {
+		for !stop.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			run(w, i)
+		}
+	}
+	if jobs <= 1 {
+		work(0)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(jobs)
+		for w := 0; w < jobs; w++ {
+			go func(w int) {
+				defer wg.Done()
+				work(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+	if failure != nil {
+		panic(*failure)
+	}
 }
+
+// itemPanic is a panic raised by item `item` of a parallel loop,
+// re-raised on the loop's calling goroutine.
+type itemPanic struct {
+	item  int
+	value any
+}
+
+func (p itemPanic) Error() string { return fmt.Sprintf("grid point %d: %v", p.item, p.value) }
 
 // parallelMap maps f over items with up to jobs workers, preserving
 // order. f must be independent per item (it is handed its own index's

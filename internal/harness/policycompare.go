@@ -119,7 +119,6 @@ func PolicyCompare(opt Options) (PolicyCompareResult, error) {
 				if err != nil {
 					return PolicyCompareResult{}, err
 				}
-				sys.Domains = opt.Domains
 				sys.Fidelity = opt.fidelity()
 				res.Rows = append(res.Rows, PolicyRowResult{
 					Topo: topoName, Routing: routingName, CC: ccName,
@@ -144,7 +143,7 @@ func PolicyCompare(opt Options) (PolicyCompareResult, error) {
 			}
 		}
 	}
-	cells := RunGrid(points, opt.gridJobs())
+	cells := RunGrid(points, opt.Jobs)
 	for i := range res.Rows {
 		res.Rows[i].Cells = cells[i*len(victims) : (i+1)*len(victims)]
 	}

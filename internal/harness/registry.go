@@ -33,8 +33,10 @@ var registry = map[string]*Experiment{} //simlint:shared -- written only by init
 
 // Register adds an experiment to the registry. It panics on a duplicate
 // or empty name — registration happens in init functions, so both are
-// programming errors. The registered Run is wrapped to stamp result
-// metadata and wall time.
+// programming errors. The registered Run is wrapped to reject options
+// outside every experiment's domain (Options.validate), to turn a panic
+// into an error, to prefix errors with the experiment name, and to stamp
+// result metadata and wall time.
 func Register(e Experiment) {
 	if e.Name == "" {
 		panic("harness: Register with empty experiment name")
@@ -48,15 +50,26 @@ func Register(e Experiment) {
 	}
 	name, desc := e.Name, e.Desc
 	prepare, defaults := e.Prepare, e.DefaultOptions
-	e.Run = func(opt Options) (*results.Result, error) {
+	e.Run = func(opt Options) (res *results.Result, err error) {
+		if err := opt.validate(); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		// A panic inside the experiment (a worker's included, re-raised
+		// by parallelForWorkers) becomes this run's error, so one bad run
+		// does not take the process and its other results down with it.
+		defer func() {
+			if v := recover(); v != nil {
+				res, err = nil, fmt.Errorf("%s: %v", name, v)
+			}
+		}()
 		if prepare != nil {
 			opt = prepare(opt)
 		}
 		opt = opt.withDefaults(defaults)
 		start := wallClock.Now()
-		res, err := run(opt)
+		res, err = run(opt)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		res.Meta.Experiment = name
 		if res.Meta.Desc == "" {

@@ -2,8 +2,10 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/results"
@@ -222,5 +224,71 @@ func TestFig10PanelCKeepsExplicitNodes(t *testing.T) {
 	}
 	if opt := e.Prepare(Options{Panel: "B", PPN: 8}); opt.PPN != 8 {
 		t.Errorf("panel B explicit PPN coerced to %d", opt.PPN)
+	}
+}
+
+// TestRegisterRejectsBadOptions: option values outside every
+// experiment's domain come back as errors naming the experiment, before
+// any simulation runs.
+func TestRegisterRejectsBadOptions(t *testing.T) {
+	cases := []struct {
+		opt  Options
+		want string
+	}{
+		{Options{Nodes: -5}, "negative node count"},
+		{Options{PPN: -3}, "negative processes per node"},
+		{Options{Domains: 2}, "domains 2"},
+		{Options{Domains: -1}, "domains -1"},
+		{Options{Fidelity: "quantum"}, "unknown fidelity"},
+	}
+	for _, c := range cases {
+		_, err := Lookup("fig2").Run(c.opt)
+		if err == nil {
+			t.Errorf("%+v: no error", c.opt)
+			continue
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "fig2: ") || !strings.Contains(msg, c.want) {
+			t.Errorf("%+v: error %q, want fig2-prefixed and containing %q", c.opt, msg, c.want)
+		}
+	}
+}
+
+// TestRunPanicBecomesError: a run whose grid points panic (two nodes
+// leave the victim job none) returns an error naming the experiment and
+// the grid point instead of aborting the process from a worker.
+func TestRunPanicBecomesError(t *testing.T) {
+	for _, name := range []string{"fig8", "policy-compare"} {
+		_, err := Lookup(name).Run(Options{Nodes: 2, MinIters: 1, MaxIters: 1, Jobs: 2})
+		if err == nil {
+			t.Errorf("%s -nodes 2: no error", name)
+			continue
+		}
+		want := name + ": grid point 0: mpi: job with no nodes"
+		if err.Error() != want {
+			t.Errorf("%s -nodes 2: error %q, want %q", name, err, want)
+		}
+	}
+}
+
+// TestParallelForWorkersReraisesLowestPanic: every worker count
+// re-raises the lowest panicking item on the calling goroutine.
+func TestParallelForWorkersReraisesLowestPanic(t *testing.T) {
+	for _, jobs := range []int{1, 2, 8} {
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			parallelFor(20, jobs, func(i int) {
+				if i == 5 || i == 13 {
+					panic(fmt.Sprintf("item %d", i))
+				}
+			})
+			return nil
+		}()
+		ip, ok := got.(itemPanic)
+		if !ok {
+			t.Fatalf("jobs=%d: recovered %#v, want an itemPanic", jobs, got)
+		}
+		if want := "grid point 5: item 5"; ip.Error() != want {
+			t.Errorf("jobs=%d: %q, want %q", jobs, ip.Error(), want)
+		}
 	}
 }

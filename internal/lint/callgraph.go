@@ -198,11 +198,8 @@ func (s *Session) RunPackage(analyzers []*Analyzer, fset *token.FileSet, files [
 func hotpathRoot(f *FuncFact) bool { return f.Hotpath }
 
 // engineRootRE matches the ultimate spine roots — the event-loop
-// dispatch, the scheduling call every handler runs through, and the
-// sharded coordinator's per-epoch phase dispatch (the parallel driver's
-// equivalent of Step: it drains mailboxes and runs each shard's window).
-var engineRootRE = regexp.MustCompile(
-	`^\(\*[^)]*\bsim\.Engine\)\.(Step|Schedule)$|^\(\*[^)]*\bpar\.Coordinator\)\.runPhase$`)
+// dispatch and the scheduling call every handler runs through.
+var engineRootRE = regexp.MustCompile(`^\(\*[^)]*\bsim\.Engine\)\.(Step|Schedule)$`)
 
 func engineRoot(f *FuncFact) bool {
 	return f.Hotpath && engineRootRE.MatchString(f.Name)

@@ -212,7 +212,6 @@ func (idx *directiveIndex) suppresses(name string, posn token.Position) bool {
 // containers; cmd/ and examples/ are out of scope entirely.
 var corePackages = map[string]bool{
 	"repro/internal/sim":        true,
-	"repro/internal/sim/par":    true,
 	"repro/internal/fabric":     true,
 	"repro/internal/flow":       true,
 	"repro/internal/topology":   true,

@@ -7,8 +7,8 @@ import (
 )
 
 // RNGStream enforces the simulator's RNG-stream ownership discipline, so
-// the deterministic draw order survives the coming parallel-engine
-// domain decomposition. Every *sim.RNG is an owned stream: components
+// the deterministic draw order survives engines running concurrently on
+// the grid worker pool. Every *sim.RNG is an owned stream: components
 // receive their own via Split() at construction and draw from it
 // single-threadedly. The analyzer flags the three ways a stream leaks
 // into shared or concurrent hands (module-wide):

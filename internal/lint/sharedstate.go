@@ -6,11 +6,11 @@ import (
 	"go/types"
 )
 
-// SharedState is the mechanical pre-flight audit for the parallel
-// discrete-event engine (ROADMAP): before worker domains can run
-// engines concurrently, every piece of mutable state reachable from more
-// than one Engine must be known. The analyzer flags, in the sim-core
-// packages plus the experiment harness:
+// SharedState audits the state that concurrently running engines could
+// share: the grid worker pool runs one Engine per goroutine, so every
+// piece of mutable state reachable from more than one Engine must be
+// known. The analyzer flags, in the sim-core packages plus the
+// experiment harness:
 //
 //   - package-level variables of mutable type (anything holding a
 //     pointer, slice, map, or channel), and immutable-typed ones the
@@ -26,14 +26,14 @@ import (
 // or justified with //simlint:shared -- <why>.
 var SharedState = &Analyzer{
 	Name:      "sharedstate",
-	Doc:       "flags mutable package-level state in sim-core packages (parallel-engine audit)",
+	Doc:       "flags mutable package-level state in sim-core packages (concurrent-engine audit)",
 	Directive: "shared",
 	Run:       runSharedState,
 }
 
-// sharedScope is the audit's package set: the 13 sim-core packages plus
+// sharedScope is the audit's package set: the sim-core packages plus
 // the harness, whose registry and experiment tables sit directly above
-// the engines a parallel runner would shard.
+// the engines its worker pool runs concurrently.
 func sharedScope(path string) bool {
 	return corePackages[path] || path == "repro/internal/harness"
 }

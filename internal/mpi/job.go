@@ -28,9 +28,8 @@ type Job struct {
 	Bulk bool
 
 	// opFree recycles sendOps across transfers. Safe without locking:
-	// send() runs from engine callbacks, sendOp.OnEvent on the control
-	// engine, and delivery callbacks are deferred to epoch barriers under
-	// the sharded engine — all serialized with respect to each other.
+	// send(), sendOp.OnEvent and the delivery callbacks all run on the
+	// network's one engine, serialized with respect to each other.
 	opFree []*sendOp
 	// pmFree recycles planMsg records (plan.go) under the same rule.
 	pmFree []*planMsg

@@ -55,14 +55,15 @@ type Context struct {
 	RouteNoise float64
 	// Arena, when non-nil, is the caller-owned path-construction scratch
 	// policies must use for non-minimal candidates (via
-	// Topology.NonMinimalPathsIn). A sharded fabric passes each domain's
-	// own arena so domains can route concurrently over the shared
-	// topology; nil falls back to the topology's embedded arena.
+	// Topology.NonMinimalPathsIn). The fabric passes its own arena, so
+	// networks sharing one topology never share scratch; nil falls back
+	// to the topology's embedded arena.
 	Arena *topology.PathArena
 }
 
 // nonMinimalPaths enumerates non-minimal candidates through the context's
 // arena when one is provided, else the topology's embedded arena.
+//
 //simlint:hotpath
 func nonMinimalPaths(topo topology.Topology, ctx Context, rng *sim.RNG, max int) []topology.Path {
 	if ctx.Arena != nil {

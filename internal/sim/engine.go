@@ -113,7 +113,7 @@ func (e *Engine) Pending() int { return e.count }
 // NextAt returns the timestamp of the earliest queued event. ok is false
 // when the queue is empty. Peeking may rotate the wheel (relocating
 // events) but never executes anything, so it is safe to call between
-// epochs of a bounded run.
+// bounded runs.
 func (e *Engine) NextAt() (at Time, ok bool) {
 	ev := e.peek()
 	if ev == nil {
@@ -127,6 +127,7 @@ func (e *Engine) NextAt() (at Time, ok bool) {
 // Now) is clamped to Now; this happens only from handlers that compute a
 // zero/negative delay and is harmless because tie-breaking keeps
 // execution order deterministic. The returned event may be cancelled.
+//
 //simlint:hotpath
 func (e *Engine) Schedule(at Time, h Handler, arg int64, data any) *Event {
 	if at < e.now {
@@ -185,6 +186,7 @@ func (e *Engine) Cancel(ev *Event) {
 }
 
 // Step runs the earliest event. It reports false when the queue is empty.
+//
 //simlint:hotpath
 func (e *Engine) Step() bool {
 	if e.count == 0 {

@@ -48,16 +48,11 @@ type Topology interface {
 
 	// Routing candidates. NonMinimalPaths builds in the topology's own
 	// embedded arena; NonMinimalPathsIn builds in a caller-owned arena, so
-	// several single-threaded consumers (e.g. the per-domain networks of a
-	// sharded fabric) can route on one shared immutable topology without
-	// sharing scratch state.
+	// several consumers (e.g. networks on different goroutines) can route
+	// on one shared immutable topology without sharing scratch state.
 	MinimalPaths(src, dst SwitchID, max int) []Path
 	NonMinimalPaths(src, dst SwitchID, rng *sim.RNG, max int) []Path
 	NonMinimalPathsIn(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path
-
-	// Partition returns the backend's domain decomposition for
-	// conservative parallel simulation (see Partition's doc).
-	Partition(domains int) Partition
 
 	// Metrics and validation.
 	Valid(Path) bool
@@ -321,9 +316,8 @@ func linkMultiplicity(lk int) int {
 // NonMinimalPaths results must be copied if retained — and why one arena
 // must not serve routing queries from multiple goroutines. Every backend
 // embeds one (backing its NonMinimalPaths convenience method); consumers
-// that need private scratch over a shared topology — the per-domain
-// networks of a sharded fabric — own their own and route through
-// NonMinimalPathsIn.
+// that need private scratch over a shared topology — every fabric
+// Network — own their own and route through NonMinimalPathsIn.
 type PathArena struct {
 	pathNodes []SwitchID
 	outPaths  []Path
