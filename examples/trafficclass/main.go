@@ -9,11 +9,12 @@ import (
 	"fmt"
 
 	"repro/internal/harness"
+	"repro/internal/results"
 )
 
 func main() {
 	r := harness.Fig13TrafficClasses(harness.Options{Nodes: 24, Seed: 3})
-	fmt.Println(r)
+	fmt.Println(results.TextString(r.Result()))
 	fmt.Printf("protection factor: %.1fx\n", r.SameImpact/r.SeparateImpact)
 
 	fmt.Println("\nminimum-bandwidth guarantees (Fig. 14):")

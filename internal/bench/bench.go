@@ -252,8 +252,7 @@ const FlowEngineBytes = 8 << 20
 // measure re-solve cost, not completion plumbing.
 type nopFlowHooks struct{}
 
-func (nopFlowHooks) FlowDelivered(sim.Time, any) {}
-func (nopFlowHooks) FlowAcked(sim.Time, any)     {}
+func (nopFlowHooks) FlowDrained(sim.Time, any) {}
 
 // SolverIncremental measures the fair-share solver's per-churn-event cost
 // against a standing population of 10k long-lived flows: each iteration

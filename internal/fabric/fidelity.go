@@ -106,7 +106,6 @@ func (n *Network) SetFidelity(f Fidelity) {
 	}
 	n.flowEng = flow.NewEngine(n.Topo, caps)
 	n.flowEng.Hooks = (*flowHooks)(n)
-	n.flowTickAt = sim.Forever
 
 	// Background-load tables, one slot per (switch, dense neighbor index)
 	// plus one per node for the switch->node edge. Written only by
@@ -180,18 +179,14 @@ func (n *Network) flowEligible(src, dst topology.NodeID, bytes int64, opts *Send
 //
 //simlint:hotpath
 func (n *Network) sendFlow(m *Message) *Message {
-	lat, ack, extra := n.flowTimes(m)
+	var extra int64
+	m.flowLatency, m.flowAckLatency, extra = n.flowTimes(m)
 	n.flowsStarted++
 	// Bring the engine's fluid clock to the present before admitting the
 	// flow, so the lazy solve folds in exactly at the submit time instead
 	// of smearing the new flow's rate back to the last tick.
 	n.flowEng.Advance(n.Eng.Now())
-	n.flowEng.Start(m.Src, m.Dst, m.Bytes, flow.FlowOpts{
-		ExtraBytes:   extra,
-		ExtraLatency: lat,
-		AckLatency:   ack,
-		Arg:          m,
-	})
+	n.flowEng.Start(m.Src, m.Dst, m.Bytes, flow.FlowOpts{ExtraBytes: extra, Arg: m})
 	n.scheduleFlowWake()
 	return m
 }
@@ -260,20 +255,36 @@ func (n *Network) flowTimes(m *Message) (lat, ackLat sim.Time, extraBytes int64)
 // object (same zero-alloc pattern as the NIC/switch event handlers).
 type flowHooks Network
 
-func (h *flowHooks) FlowDelivered(at sim.Time, arg any) {
+// FlowDrained schedules the drained message's delivery on the event
+// engine, the message's quiet-path latency after the fluid completion.
+//
+//simlint:hotpath
+func (h *flowHooks) FlowDrained(at sim.Time, arg any) {
 	n := (*Network)(h)
-	m := arg.(*Message)
-	m.delivered = m.numPackets
-	m.DeliveredAt = at
-	n.flowsCompleted++
-	n.Counters.PacketsDelivered += int64(m.numPackets)
-	if m.OnDelivered != nil {
-		m.OnDelivered(at)
-	}
+	n.Eng.Schedule(at+arg.(*Message).flowLatency, (*flowDone)(n), 0, arg)
 }
 
-func (h *flowHooks) FlowAcked(at sim.Time, arg any) {
-	m := arg.(*Message)
+// flowDone completes a fluid message in two steps, like msgSelfDeliver:
+// Arg 0 delivers the message in Data and schedules its ack one
+// reverse-path latency later; Arg 1 lands that ack.
+type flowDone Network
+
+//simlint:hotpath
+func (h *flowDone) OnEvent(e *sim.Engine, ev *sim.Event) {
+	n := (*Network)(h)
+	m := ev.Data.(*Message)
+	at := e.Now()
+	if ev.Arg == 0 {
+		m.delivered = m.numPackets
+		m.DeliveredAt = at
+		n.flowsCompleted++
+		n.Counters.PacketsDelivered += int64(m.numPackets)
+		e.Schedule(at+m.flowAckLatency, h, 1, m)
+		if m.OnDelivered != nil {
+			m.OnDelivered(at)
+		}
+		return
+	}
 	m.acked = m.numPackets
 	if m.OnAcked != nil {
 		m.OnAcked(at)
@@ -281,7 +292,7 @@ func (h *flowHooks) FlowAcked(at sim.Time, arg any) {
 	// The ack is the message's final event: an opted-in handle returns to
 	// the Send free-list here.
 	if m.recycle {
-		(*Network)(h).freeMsg(m)
+		n.freeMsg(m)
 	}
 }
 
@@ -291,30 +302,36 @@ type flowTicker Network
 //simlint:hotpath
 func (t *flowTicker) OnEvent(e *sim.Engine, ev *sim.Event) {
 	n := (*Network)(t)
-	n.flowTickAt = sim.Forever
-	n.flowTick()
-}
-
-// flowTick advances the fluid engine to the present, credits delivered
-// bytes, republishes background load, and schedules the next wake.
-//
-//simlint:hotpath
-func (n *Network) flowTick() {
-	n.flowEng.Advance(n.Eng.Now())
-	n.Counters.BytesDelivered += n.flowEng.TakeProgress()
+	n.flowWakeEv = nil
+	n.syncFlow()
 	if n.fid == FidelityHybrid {
 		n.publishFlowBG()
 	}
+}
+
+// syncFlow advances the fluid engine to the present, credits delivered
+// bytes and re-arms the wake. Every tick runs it, and so does the end of
+// each bounded run, which keeps the byte counters exact whenever they
+// are read between runs. A no-op at packet fidelity.
+//
+//simlint:hotpath
+func (n *Network) syncFlow() {
+	if n.flowEng == nil {
+		return
+	}
+	n.flowEng.Advance(n.Eng.Now())
+	n.Counters.BytesDelivered += n.flowEng.TakeProgress()
 	n.scheduleFlowWake()
 }
 
-// scheduleFlowWake keeps exactly one leading tick pending: the earliest
-// of the engine's next completion/callback and — in hybrid mode — the
-// periodic background refresh. Later stale events fire as cheap no-ops.
+// scheduleFlowWake keeps exactly one tick pending at the earliest of the
+// engine's next completion and — in hybrid mode — the periodic background
+// refresh. Like the NIC pump, an earlier pending wake stands (it
+// re-projects when it fires) and a later one is cancelled and re-armed.
 // At FidelityFlow there is no packet path left to feed, so the engine
-// wakes only at flow completions: background publication (and its 1 us
-// cadence) is pure overhead there and is skipped, which is most of what
-// makes the fluid path's ns-per-simulated-byte tiny.
+// wakes only at flow starts and completions: background publication (and
+// its 1 us cadence) is pure overhead there and is skipped, which is most
+// of what makes the fluid path's ns-per-simulated-byte tiny.
 //
 //simlint:hotpath
 func (n *Network) scheduleFlowWake() {
@@ -324,10 +341,15 @@ func (n *Network) scheduleFlowWake() {
 			next = t
 		}
 	}
-	if next < n.flowTickAt {
-		n.flowTickAt = next
-		n.Eng.Schedule(next, (*flowTicker)(n), 0, nil)
+	if ev := n.flowWakeEv; ev != nil {
+		if ev.At <= next {
+			return
+		}
+		n.Eng.Cancel(ev)
+	} else if next == sim.Forever {
+		return
 	}
+	n.flowWakeEv = n.Eng.Schedule(next, (*flowTicker)(n), 0, nil)
 }
 
 // publishFlowBG converts the solver's per-segment allocated rates into

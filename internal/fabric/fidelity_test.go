@@ -135,3 +135,63 @@ func TestHybridBackgroundLoadVisible(t *testing.T) {
 		t.Errorf("QueuedAtEdge(quiet) = %d, want 0", got)
 	}
 }
+
+func TestFlowAckFollowsDelivery(t *testing.T) {
+	// A fluid message delivers, then its ack lands one reverse-path
+	// latency later, as on the packet path's dedicated ack crossbars.
+	n := flowNet(t, FidelityFlow)
+	var delivered, acked sim.Time
+	m := n.Send(0, 63, 1<<20, SendOpts{
+		OnDelivered: func(at sim.Time) { delivered = at },
+		OnAcked:     func(at sim.Time) { acked = at },
+	})
+	n.Run()
+	if delivered == 0 || m.DeliveredAt != delivered {
+		t.Fatalf("delivered at %v, DeliveredAt %v", delivered, m.DeliveredAt)
+	}
+	path := n.flowEng.Candidates(n.Topo.SwitchOf(0), n.Topo.SwitchOf(63))[0]
+	if want := delivered + n.revLatency(path); acked != want {
+		t.Fatalf("acked at %v, want DeliveredAt %v + reverse latency = %v", acked, delivered, want)
+	}
+}
+
+// TestFlowWakesStayBounded pins the fluid path's event cost. Sends run
+// from plain engine events, outside any fluid tick. Each costs the send
+// event, one wake to fold in its start, one wake at its drain, its
+// delivery and its ack: at most five engine steps per message. At most
+// one fluid wake is ever pending.
+func TestFlowWakesStayBounded(t *testing.T) {
+	n := flowNet(t, FidelityFlow)
+	const sends = 300
+	nodes := n.Topo.Nodes()
+	acked := 0
+	for i := 0; i < sends; i++ {
+		src := topology.NodeID(i % nodes)
+		dst := topology.NodeID((i*7 + 5) % nodes) // never src: 6i+5 is odd
+		n.Eng.ScheduleFunc(sim.Time(i)*50*sim.Nanosecond, func() {
+			n.Send(src, dst, 64<<10, SendOpts{OnAcked: func(sim.Time) { acked++ }})
+		})
+	}
+	// Every queued event is a send not yet run, the delivery of a drained
+	// flow, an ack in flight, or a wake, so the wakes are what remains.
+	maxWakes := 0
+	n.RunWhile(func() bool {
+		started, done := int(n.FlowsStarted()), int(n.FlowsCompleted())
+		drained := started - n.flowEng.Active()
+		wakes := n.Eng.Pending() - (sends - started) - (drained - done) - (done - acked)
+		if wakes > maxWakes {
+			maxWakes = wakes
+		}
+		return true
+	})
+	if acked != sends {
+		t.Fatalf("acked %d of %d messages", acked, sends)
+	}
+	if maxWakes > 1 {
+		t.Errorf("%d fluid wakes pending at once, want at most 1", maxWakes)
+	}
+	if steps := n.Eng.Steps(); steps > 5*sends {
+		t.Errorf("%d engine steps for %d messages (%.1f each), want at most 5 each",
+			steps, sends, float64(steps)/sends)
+	}
+}

@@ -71,7 +71,7 @@ type Network struct {
 	// neighbor index) plus one per node, written by publishFlowBG.
 	fid                          Fidelity
 	flowEng                      *flow.Engine
-	flowTickAt                   sim.Time
+	flowWakeEv                   *sim.Event
 	flowBG                       []int64
 	flowBGEdge                   []int64
 	bgOff                        []int32
@@ -516,11 +516,19 @@ func (n *Network) QueuedAtEdge(node topology.NodeID) int64 {
 func (n *Network) Run() { n.Eng.Run() }
 
 // RunUntil executes all events with At <= deadline and advances the
-// clock to the deadline.
-func (n *Network) RunUntil(deadline sim.Time) { n.Eng.RunUntil(deadline) }
+// clock to the deadline. Fluid progress is credited up to the deadline,
+// so the byte counters are exact when it returns.
+func (n *Network) RunUntil(deadline sim.Time) {
+	n.Eng.RunUntil(deadline)
+	n.syncFlow()
+}
 
-// RunWhile executes events while cond() holds.
-func (n *Network) RunWhile(cond func() bool) { n.Eng.RunWhile(cond) }
+// RunWhile executes events while cond() holds, then credits fluid
+// progress up to the time it stopped.
+func (n *Network) RunWhile(cond func() bool) {
+	n.Eng.RunWhile(cond)
+	n.syncFlow()
+}
 
 // RunFor advances the simulation by d.
 func (n *Network) RunFor(d sim.Time) { n.RunUntil(n.Eng.Now() + d) }

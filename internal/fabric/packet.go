@@ -66,6 +66,10 @@ type Message struct {
 	// recycle marks an opted-in (SendOpts.Recycle) handle the fabric
 	// returns to the Send free-list after its final completion event.
 	recycle bool
+	// flowLatency and flowAckLatency time a fluid message's completion:
+	// delivery lands flowLatency after its flow drains, the ack
+	// flowAckLatency after delivery (see flowTimes).
+	flowLatency, flowAckLatency sim.Time
 
 	SubmittedAt sim.Time
 	DeliveredAt sim.Time

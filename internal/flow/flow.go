@@ -5,9 +5,10 @@
 // switch queues. A flow is a (src node, dst node, bytes) triple pinned to
 // one cached minimal path; the solver assigns every active flow the
 // max–min fair rate given directed segment capacities, and Advance
-// integrates remaining bytes between rate changes analytically — the only
-// "events" are flow arrivals, flow completions, and the caller's own
-// epoch ticks.
+// integrates remaining bytes between rate changes analytically. The
+// engine owns no timeline: the caller's event queue decides when it
+// advances (flow arrivals, projected completions, its own epoch ticks),
+// and NextWake tells the caller when the next completion is due.
 //
 // Re-solving is incremental: a flow start or finish dirties only the
 // segments it crosses, and the solver re-fills just the affected
@@ -30,16 +31,15 @@
 // Determinism: the engine is driven from a single goroutine (the
 // fabric's event engine), every
 // iteration order is slice order or canonical id order, path choice is
-// deterministic given the active flow set, and completion callbacks fire
-// in (time, enqueue-sequence) order from a binary heap. The minimal-path
+// deterministic given the active flow set, and drained flows are handed
+// to Hooks.FlowDrained in retirement order. The minimal-path
 // cache is a map but is only ever keyed, never iterated. No RNG, no wall
 // clock.
 //
 // Steady-state epochs are alloc-free after warm-up: flow records are
 // free-listed, per-segment scratch (residual capacity, unfixed counts,
 // CSR flow lists, membership rows) lives in engine-owned slices that are
-// re-stamped rather than reallocated, and the callback heap reuses its
-// backing array.
+// re-stamped rather than reallocated.
 package flow
 
 import (
@@ -61,14 +61,13 @@ type Caps struct {
 	MaxPaths int
 }
 
-// Hooks receives flow completion callbacks. Delivered fires when the last
-// byte would land at the destination (fluid completion plus the flow's
-// ExtraLatency); Acked fires AckLatency later. The arg is the opaque
-// per-flow value passed to Start — callbacks carry no closures so the
-// spine stays allocation-free.
+// Hooks receives flow completions. FlowDrained fires inside Advance once
+// a flow's last byte has left the fluid model and its record is retired;
+// at is the drain time and arg the opaque per-flow value passed to Start.
+// Any latency past the drain is the caller's to schedule — callbacks
+// carry no closures so the spine stays allocation-free.
 type Hooks interface {
-	FlowDelivered(at sim.Time, arg any)
-	FlowAcked(at sim.Time, arg any)
+	FlowDrained(at sim.Time, arg any)
 }
 
 // FlowOpts parameterises one Start call.
@@ -77,13 +76,7 @@ type FlowOpts struct {
 	// overheads (host injection gap, rendezvous inter-message gap) as
 	// their bandwidth-equivalent, so streaming throughput calibrates.
 	ExtraBytes int64
-	// ExtraLatency is the quiet-path latency (host gap, NIC, wire
-	// propagation, switch traversals, handshakes) added to the fluid
-	// completion time before Delivered fires.
-	ExtraLatency sim.Time
-	// AckLatency separates Acked from Delivered (reverse-path latency).
-	AckLatency sim.Time
-	// Arg is handed back verbatim to both hooks.
+	// Arg is handed back verbatim to FlowDrained.
 	Arg any
 }
 
@@ -97,8 +90,6 @@ type Flow struct {
 	segs      []int32 // directed segment indices, reused capacity
 	segPos    []int32 // this flow's slot in memb[segs[i]] (parallel to segs)
 	mark      int32   // component-BFS visit generation
-	extraLat  sim.Time
-	ackLat    sim.Time
 	arg       any
 }
 
@@ -108,16 +99,6 @@ type Flow struct {
 type membEntry struct {
 	f  *Flow
 	si int32
-}
-
-// pendingCB is a completion callback waiting for its fire time; ack
-// selects which hook. The heap orders by (at, seq) so ties break on
-// enqueue order.
-type pendingCB struct {
-	at  sim.Time
-	seq int64
-	ack bool
-	arg any
 }
 
 // Engine advances a set of fluid flows over directed capacity segments.
@@ -147,7 +128,6 @@ type Engine struct {
 	active   []*Flow
 	freeList []*Flow
 	nextID   int64
-	nextSeq  int64
 
 	segFlows []int32       // live flow count per segment (path choice)
 	activeTo []int32       // active bulk flows per destination node
@@ -183,8 +163,6 @@ type Engine struct {
 
 	now        sim.Time
 	progressed float64 // whole+fractional bytes advanced since TakeProgress
-
-	cbs []pendingCB // binary heap by (at, seq)
 }
 
 // byID orders the solver's working set canonically by flow id through a
@@ -334,8 +312,6 @@ func (e *Engine) Start(src, dst topology.NodeID, bytes int64, opt FlowOpts) int6
 	f.src, f.dst = src, dst
 	f.remaining = float64(bytes + opt.ExtraBytes)
 	f.rate = 0
-	f.extraLat = opt.ExtraLatency
-	f.ackLat = opt.AckLatency
 	f.arg = opt.Arg
 	e.buildSegs(f)
 	for i, s := range f.segs {

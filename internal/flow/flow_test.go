@@ -25,10 +25,9 @@ func newTestEngine(t *testing.T) *Engine {
 	return NewEngine(testTopo(t), Caps{EdgeBits: tEdge, LocalBits: tLocal, GlobalBits: tGlobal})
 }
 
-// recorder collects completion callbacks.
+// recorder collects drain callbacks.
 type recorder struct {
-	delivered []cbRec
-	acked     []cbRec
+	drained []cbRec
 }
 
 type cbRec struct {
@@ -36,11 +35,8 @@ type cbRec struct {
 	arg any
 }
 
-func (r *recorder) FlowDelivered(at sim.Time, arg any) {
-	r.delivered = append(r.delivered, cbRec{at, arg})
-}
-func (r *recorder) FlowAcked(at sim.Time, arg any) {
-	r.acked = append(r.acked, cbRec{at, arg})
+func (r *recorder) FlowDrained(at sim.Time, arg any) {
+	r.drained = append(r.drained, cbRec{at, arg})
 }
 
 func TestSingleFlowEdgeLimited(t *testing.T) {
@@ -48,23 +44,18 @@ func TestSingleFlowEdgeLimited(t *testing.T) {
 	rec := &recorder{}
 	e.Hooks = rec
 	const bytes = 1 << 20
-	lat := 2 * sim.Microsecond
-	e.Start(0, 10, bytes, FlowOpts{ExtraLatency: lat, AckLatency: sim.Microsecond, Arg: "f"})
+	e.Start(0, 10, bytes, FlowOpts{Arg: "f"})
 	e.Resolve()
 	if got := e.active[0].rate; math.Abs(got-tEdge) > 1 {
 		t.Fatalf("single flow rate = %g, want edge cap %g", got, tEdge)
 	}
-	want := sim.Time(float64(bytes)*8e12/tEdge) + lat
+	want := sim.Time(float64(bytes) * 8e12 / tEdge)
 	e.Advance(want + sim.Millisecond)
-	if len(rec.delivered) != 1 || rec.delivered[0].arg != "f" {
-		t.Fatalf("delivered = %+v, want 1 callback", rec.delivered)
+	if len(rec.drained) != 1 || rec.drained[0].arg != "f" {
+		t.Fatalf("drained = %+v, want 1 callback", rec.drained)
 	}
-	got := rec.delivered[0].at
-	if got < want || got > want+2 {
-		t.Fatalf("delivered at %v, want ~%v", got, want)
-	}
-	if ack := rec.acked[0].at; ack != got+sim.Microsecond {
-		t.Fatalf("acked at %v, want %v", ack, got+sim.Microsecond)
+	if got := rec.drained[0].at; got < want || got > want+2 {
+		t.Fatalf("drained at %v, want ~%v", got, want)
 	}
 	if e.Active() != 0 || e.ActiveTo(10) != 0 {
 		t.Fatalf("flow not retired: active=%d activeTo=%d", e.Active(), e.ActiveTo(10))
@@ -201,14 +192,14 @@ func TestCompletionOrdering(t *testing.T) {
 	e.Start(0, 10, 8<<20, FlowOpts{Arg: "big"})
 	e.Start(0, 10, 1<<20, FlowOpts{Arg: "small"})
 	e.Advance(sim.Second)
-	if len(rec.delivered) != 2 {
-		t.Fatalf("delivered %d, want 2", len(rec.delivered))
+	if len(rec.drained) != 2 {
+		t.Fatalf("drained %d, want 2", len(rec.drained))
 	}
-	if rec.delivered[0].arg != "small" || rec.delivered[1].arg != "big" {
-		t.Fatalf("order = %v,%v want small,big", rec.delivered[0].arg, rec.delivered[1].arg)
+	if rec.drained[0].arg != "small" || rec.drained[1].arg != "big" {
+		t.Fatalf("order = %v,%v want small,big", rec.drained[0].arg, rec.drained[1].arg)
 	}
-	if rec.delivered[0].at >= rec.delivered[1].at {
-		t.Fatalf("times not increasing: %v >= %v", rec.delivered[0].at, rec.delivered[1].at)
+	if rec.drained[0].at >= rec.drained[1].at {
+		t.Fatalf("times not increasing: %v >= %v", rec.drained[0].at, rec.drained[1].at)
 	}
 }
 
@@ -224,15 +215,15 @@ func TestDeterministicReplay(t *testing.T) {
 			if src == dst {
 				dst = (dst + 1) % topology.NodeID(nodes)
 			}
-			e.Start(src, dst, int64(1<<16)*int64(i+1), FlowOpts{ExtraLatency: sim.Microsecond, Arg: i})
+			e.Start(src, dst, int64(1<<16)*int64(i+1), FlowOpts{Arg: i})
 			e.Advance(e.Now() + 10*sim.Microsecond)
 		}
 		e.Advance(sim.Second)
-		return rec.delivered
+		return rec.drained
 	}
 	a, b := run(), run()
 	if len(a) != len(b) || len(a) != 24 {
-		t.Fatalf("runs delivered %d vs %d, want 24", len(a), len(b))
+		t.Fatalf("runs drained %d vs %d, want 24", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -245,7 +236,7 @@ func TestSteadyStateAllocFree(t *testing.T) {
 	e := newTestEngine(t)
 	e.Hooks = &recorder{}
 	nodes := e.topo.Nodes()
-	// Warm up: grow scratch, free lists, path cache, callback heap.
+	// Warm up: grow scratch, free lists and the path cache.
 	warm := func(rounds int) {
 		for i := 0; i < rounds; i++ {
 			src := topology.NodeID((i * 7) % nodes)

@@ -88,9 +88,8 @@ func TestIncrementalMatchesFullRandomized(t *testing.T) {
 						dst = (dst + 1) % topology.NodeID(nodes)
 					}
 					bytes := int64(1<<14) << rng.Intn(6)
-					opt := FlowOpts{ExtraLatency: sim.Nanosecond * sim.Time(rng.Intn(500))}
-					ref.Start(src, dst, bytes, opt)
-					inc.Start(src, dst, bytes, opt)
+					ref.Start(src, dst, bytes, FlowOpts{})
+					inc.Start(src, dst, bytes, FlowOpts{})
 				default:
 					// Advance both engines, draining some completions (the
 					// finish side of the dirty-seed machinery).

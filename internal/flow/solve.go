@@ -229,11 +229,10 @@ func (e *Engine) completionTime(f *Flow) sim.Time {
 	return t
 }
 
-// NextWake returns the earliest time Advance has work to do: the nearest
-// projected completion or pending callback, or — with a set change
-// pending — the present, requesting an immediate tick so the solve folds
-// in exactly once at the next Advance rather than once per Start.
-// Forever when idle.
+// NextWake returns the earliest time Advance has work to do: with a set
+// change pending, the present — requesting an immediate tick so the solve
+// folds in exactly once at the next Advance rather than once per Start —
+// otherwise the nearest projected completion. Forever when idle.
 //
 //simlint:hotpath
 func (e *Engine) NextWake() sim.Time {
@@ -246,16 +245,14 @@ func (e *Engine) NextWake() sim.Time {
 			next = t
 		}
 	}
-	if len(e.cbs) > 0 && e.cbs[0].at < next {
-		next = e.cbs[0].at
-	}
 	return next
 }
 
-// Advance integrates fluid progress to time to, firing any completions
-// and callbacks that fall in (now, to]. Completion hooks run inline in
-// (time, sequence) order; they may Start new flows (the solver re-runs
-// lazily). Advance never runs backwards: to earlier than now is a no-op.
+// Advance integrates fluid progress to time to, retiring every flow that
+// drains in (now, to] at its drain time and reporting it to
+// Hooks.FlowDrained. A completion dirties its component, which re-solves
+// on the next lap so the survivors speed up from the drain instant.
+// Advance never runs backwards: to earlier than now is a no-op.
 //
 // A pending set change (dirty) folds in at the engine's current clock:
 // callers that care about exact start times (the fabric does) Advance to
@@ -266,7 +263,7 @@ func (e *Engine) NextWake() sim.Time {
 //
 //simlint:hotpath
 func (e *Engine) Advance(to sim.Time) {
-	if !e.dirty && to <= e.now && (len(e.cbs) == 0 || e.cbs[0].at > e.now) {
+	if !e.dirty && to <= e.now {
 		return
 	}
 	for {
@@ -274,14 +271,9 @@ func (e *Engine) Advance(to sim.Time) {
 			e.solve()
 		}
 		// Next rate-change boundary: the earliest projected completion.
-		step := to
-		for _, f := range e.active {
-			if t := e.completionTime(f); t < step {
-				step = t
-			}
-		}
-		if len(e.cbs) > 0 && e.cbs[0].at < step {
-			step = e.cbs[0].at
+		step := e.NextWake()
+		if step > to {
+			step = to
 		}
 		if step > e.now {
 			dt := float64(step-e.now) / 8e12 // ps -> bytes/bit-rate factor
@@ -295,11 +287,6 @@ func (e *Engine) Advance(to sim.Time) {
 			}
 			e.now = step
 		}
-		// The target reached: fold in the pending set change at its event
-		// time (completion-triggered dirt re-solves on the next lap).
-		if e.dirty && e.now >= to {
-			e.solve()
-		}
 		// Retire drained flows (scan backwards so swap-removal keeps
 		// unvisited entries stable).
 		for i := len(e.active) - 1; i >= 0; i-- {
@@ -311,79 +298,14 @@ func (e *Engine) Advance(to sim.Time) {
 			// sums exactly to the payload.
 			e.progressed += f.remaining
 			f.remaining = 0
-			e.pushCB(pendingCB{at: e.now + f.extraLat, seq: e.seq(), arg: f.arg})
-			e.pushCB(pendingCB{at: e.now + f.extraLat + f.ackLat, seq: e.seq(), ack: true, arg: f.arg})
+			arg := f.arg
 			e.remove(i)
-		}
-		// Fire due callbacks.
-		for len(e.cbs) > 0 && e.cbs[0].at <= e.now {
-			cb := e.popCB()
-			if cb.ack {
-				e.Hooks.FlowAcked(cb.at, cb.arg)
-			} else {
-				e.Hooks.FlowDelivered(cb.at, cb.arg)
-			}
+			e.Hooks.FlowDrained(e.now, arg)
 		}
 		if e.now >= to && !e.dirty {
 			return
 		}
 	}
-}
-
-func (e *Engine) seq() int64 {
-	e.nextSeq++
-	return e.nextSeq
-}
-
-// pushCB / popCB maintain the callback min-heap ordered by (at, seq).
-// Hand-rolled sift on an engine-owned slice: container/heap would box
-// every element through interface{}.
-//
-//simlint:hotpath
-func (e *Engine) pushCB(cb pendingCB) {
-	e.cbs = append(e.cbs, cb)
-	i := len(e.cbs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !cbLess(e.cbs[i], e.cbs[p]) {
-			break
-		}
-		e.cbs[i], e.cbs[p] = e.cbs[p], e.cbs[i]
-		i = p
-	}
-}
-
-//simlint:hotpath
-func (e *Engine) popCB() pendingCB {
-	top := e.cbs[0]
-	last := len(e.cbs) - 1
-	e.cbs[0] = e.cbs[last]
-	e.cbs[last] = pendingCB{}
-	e.cbs = e.cbs[:last]
-	i, n := 0, last
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && cbLess(e.cbs[l], e.cbs[small]) {
-			small = l
-		}
-		if r < n && cbLess(e.cbs[r], e.cbs[small]) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		e.cbs[i], e.cbs[small] = e.cbs[small], e.cbs[i]
-		i = small
-	}
-	return top
-}
-
-func cbLess(a, b pendingCB) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
 }
 
 // grow returns s resized to n entries, reusing capacity.

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/fabric"
@@ -200,5 +201,34 @@ func TestOptionsFidelityThreading(t *testing.T) {
 	sys.Fidelity = fabric.FidelityHybrid
 	if got := sys.build(3).Fidelity(); got != fabric.FidelityHybrid {
 		t.Errorf("built network fidelity = %v, want hybrid", got)
+	}
+}
+
+// TestFig6FlowWithinPeak pins fig6 at flow fidelity: every point reads
+// above zero and at most its theoretical peak, and the in-envelope
+// bisection point (128 KiB) stays within 15 % of the packet engine.
+// Both failed while fluid bytes were credited only at flow completions:
+// a window with no completion read 0, and a window edge just after a
+// burst of completions read above the peak.
+func TestFig6FlowWithinPeak(t *testing.T) {
+	r := Fig6Bisection(Options{Nodes: 32, Seed: 7, Fidelity: "flow"})
+	var fluid128 float64
+	for _, p := range r.Points {
+		peak := r.AlltoallPeakTBits
+		if p.Series == "bisection" {
+			peak = r.BisectionPeakTBits
+			if p.Size == 128<<10 {
+				fluid128 = p.TBits
+			}
+		}
+		if !(p.TBits > 0 && p.TBits <= peak) {
+			t.Errorf("%s/%s = %.3f Tbps, want in (0, %.3f]", p.Series, sizeName(p.Size), p.TBits, peak)
+		}
+	}
+	sys := Shandy(32)
+	packet128 := measureBisection(sys, 7, topology.MustNew(sys.Topo).Nodes(), 128<<10)
+	if rel := math.Abs(fluid128-packet128) / packet128; rel > 0.15 {
+		t.Errorf("bisection/128KiB: flow %.3f vs packet %.3f Tbps, |err| %.1f%% > 15%%",
+			fluid128, packet128, 100*rel)
 	}
 }

@@ -180,8 +180,6 @@ func (r Fig13Result) Result() *results.Result {
 	return res
 }
 
-func (r Fig13Result) String() string { return results.TextString(r.Result()) }
-
 // Fig14Series is one job's bandwidth-over-time trace.
 type Fig14Series struct {
 	Job     string
@@ -362,5 +360,3 @@ func (r Fig14Result) Result() *results.Result {
 	add("separate-tc", r.SeparateTC)
 	return res
 }
-
-func (r Fig14Result) String() string { return results.TextString(r.Result()) }

@@ -113,5 +113,3 @@ func (r Fig8Result) Result() *results.Result {
 	}
 	return res
 }
-
-func (r Fig8Result) String() string { return results.TextString(r.Result()) }

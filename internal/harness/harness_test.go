@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/results"
 	"repro/internal/sim"
 	"repro/internal/workloads"
 )
@@ -29,7 +30,7 @@ func TestFig2Shape(t *testing.T) {
 	if p99 := s.Percentile(99); p99 > 410 {
 		t.Errorf("p99 = %.1f ns, want <= 410", p99)
 	}
-	if !strings.Contains(r.String(), "median") {
+	if !strings.Contains(results.TextString(r.Result()), "median") {
 		t.Error("render missing median row")
 	}
 }
@@ -188,7 +189,7 @@ func TestFig9Shape(t *testing.T) {
 	if inc90 <= inc10 {
 		t.Errorf("impact should grow with aggressor share: 10%%=%.1f 90%%=%.1f", inc10, inc90)
 	}
-	if !strings.Contains(r.String(), "incast") {
+	if !strings.Contains(results.TextString(r.Result()), "incast") {
 		t.Error("render missing aggressor labels")
 	}
 }
@@ -211,7 +212,7 @@ func TestFig11NAandScale(t *testing.T) {
 	if !sawNA {
 		t.Error("expected N.A. cells for MILC/HPCG at non-power-of-two counts")
 	}
-	if !strings.Contains(r.String(), "N.A.") {
+	if !strings.Contains(results.TextString(r.Result()), "N.A.") {
 		t.Error("render missing N.A. markers")
 	}
 }

@@ -187,5 +187,3 @@ func (r PolicyCompareResult) Result() *results.Result {
 	}
 	return res
 }
-
-func (r PolicyCompareResult) String() string { return results.TextString(r.Result()) }

@@ -98,5 +98,3 @@ func (r TopoCompareResult) Result() *results.Result {
 	}
 	return res
 }
-
-func (r TopoCompareResult) String() string { return results.TextString(r.Result()) }
