@@ -10,6 +10,7 @@
 //	slingshot-sim run fig9 -seeds 1,2,3 -format csv
 //	slingshot-sim run topo-compare -topo fattree # one backend of the sweep
 //	slingshot-sim run policy-compare -routing ecmp -cc delay
+//	slingshot-sim run fig6 -fidelity flow -cpuprofile fig6.pprof
 //	slingshot-sim run all                       # every experiment, default scale
 package main
 
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -38,7 +40,7 @@ func main() {
 	case "list":
 		list(os.Stdout)
 	case "run":
-		if err := run(os.Args[2:]); err != nil {
+		if err := run(os.Args[2:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "slingshot-sim:", err)
 			os.Exit(2)
 		}
@@ -51,7 +53,7 @@ func main() {
 	}
 }
 
-func usage(w *os.File) {
+func usage(w io.Writer) {
 	fmt.Fprintf(w, `usage:
   slingshot-sim list                     list registered experiments
   slingshot-sim run <name>... [flags]    run experiments (or "run all")
@@ -66,11 +68,12 @@ run flags:
 // list prints the registry as a table.
 func list(w *os.File) {
 	res := &results.Result{}
-	t := res.AddTable("", "name", "default nodes", "description")
+	t := res.AddTable("", "name", "default nodes", "min nodes", "description")
 	for _, e := range harness.All() {
 		t.Row(
 			results.String(e.Name),
 			results.Int(int64(e.DefaultOptions.Nodes)),
+			results.Int(int64(e.MinNodes)),
 			results.String(e.Desc),
 		)
 	}
@@ -79,20 +82,21 @@ func list(w *os.File) {
 
 // runConfig holds the run-verb flag values.
 type runConfig struct {
-	nodes    int
-	minIters int
-	maxIters int
-	seed     uint64
-	seeds    string
-	ppn      int
-	jobs     int
-	set      string
-	panel    string
-	topo     string
-	routing  string
-	cc       string
-	fidelity string
-	format   string
+	nodes      int
+	minIters   int
+	maxIters   int
+	seed       uint64
+	seeds      string
+	ppn        int
+	jobs       int
+	set        string
+	panel      string
+	topo       string
+	routing    string
+	cc         string
+	fidelity   string
+	format     string
+	cpuprofile string
 }
 
 func runFlags(c *runConfig) *flag.FlagSet {
@@ -120,12 +124,14 @@ func runFlags(c *runConfig) *flag.FlagSet {
 			"victims and hotspots packet-level)")
 	fs.StringVar(&c.format, "format", "table",
 		"output format: "+strings.Join(results.Formats(), "|"))
+	fs.StringVar(&c.cpuprofile, "cpuprofile", "",
+		"write a CPU profile of the experiment runs to this file (go tool pprof format)")
 	return fs
 }
 
 // run executes `slingshot-sim run <name>... [flags]`: experiment names
-// come first, flags after.
-func run(args []string) error {
+// come first, flags after. Results go to w.
+func run(args []string, w io.Writer) (err error) {
 	var names []string
 	for len(args) > 0 && !strings.HasPrefix(args[0], "-") {
 		names = append(names, args[0])
@@ -136,7 +142,7 @@ func run(args []string) error {
 	fs.SetOutput(io.Discard) // errors are reported once, by our caller
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
-			usage(os.Stdout)
+			usage(w)
 			return nil
 		}
 		return err
@@ -205,6 +211,17 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	if cfg.cpuprofile != "" {
+		stop, perr := startCPUProfile(cfg.cpuprofile)
+		if perr != nil {
+			return perr
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
+	}
 
 	// Text and CSV stream each result as its run completes (long grids
 	// show progress and survive interruption); JSON buffers so multiple
@@ -236,18 +253,35 @@ func run(args []string) error {
 				continue
 			}
 			if done > 0 {
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
 			done++
-			if err := enc.Encode(os.Stdout, res); err != nil {
+			if err := enc.Encode(w, res); err != nil {
 				return err
 			}
 		}
 	}
 	if cfg.format == "json" {
-		return results.EncodeAll(os.Stdout, cfg.format, out)
+		return results.EncodeAll(w, cfg.format, out)
 	}
 	return nil
+}
+
+// startCPUProfile starts profiling the process's CPU into path and
+// returns the function that stops the profile and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 func victimSet(s string) (harness.VictimSet, error) {

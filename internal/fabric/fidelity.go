@@ -182,10 +182,14 @@ func (n *Network) sendFlow(m *Message) *Message {
 	var extra int64
 	m.flowLatency, m.flowAckLatency, extra = n.flowTimes(m)
 	n.flowsStarted++
-	// Bring the engine's fluid clock to the present before admitting the
-	// flow, so the lazy solve folds in exactly at the submit time instead
-	// of smearing the new flow's rate back to the last tick.
-	n.flowEng.Advance(n.Eng.Now())
+	// Bring a lagging fluid clock to the present before admitting the
+	// flow, so the new rates take over at the submit time instead of
+	// smearing back to the last tick. At the clock's own instant no bytes
+	// move between Starts: the set change stays pending, and the wake
+	// scheduleFlowWake arms at now solves the whole burst once.
+	if now := n.Eng.Now(); n.flowEng.Now() < now {
+		n.flowEng.Advance(now)
+	}
 	n.flowEng.Start(m.Src, m.Dst, m.Bytes, flow.FlowOpts{ExtraBytes: extra, Arg: m})
 	n.scheduleFlowWake()
 	return m

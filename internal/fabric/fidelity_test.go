@@ -195,3 +195,57 @@ func TestFlowWakesStayBounded(t *testing.T) {
 			steps, sends, float64(steps)/sends)
 	}
 }
+
+// TestFlowBurstSolvesOnce: a burst of fluid sends at one instant costs
+// one solve, run by the wake that follows it, however many sends the
+// burst holds. The deliveries match a reference network that re-solves
+// after every send: rates that last zero time move no bytes.
+func TestFlowBurstSolvesOnce(t *testing.T) {
+	const k = 12
+	burst := func(solveEach bool) (solves int64, at []sim.Time) {
+		n := flowNet(t, FidelityFlow)
+		nodes := n.Topo.Nodes()
+		at = make([]sim.Time, k)
+		count := make([]int, k)
+		before := n.flowEng.Solves()
+		for i := 0; i < k; i++ {
+			i := i
+			// Twelve sources into three destinations, sizes staggered so
+			// the flows share links and drain at different times.
+			src, dst := topology.NodeID(i), topology.NodeID(nodes-1-i%3)
+			n.Send(src, dst, int64(64+32*i)<<10, SendOpts{OnDelivered: func(t sim.Time) {
+				at[i] = t
+				count[i]++
+			}})
+			if solveEach {
+				n.flowEng.Resolve()
+			}
+		}
+		// The wake at the burst's instant is the next event.
+		if next, ok := n.Eng.NextAt(); !ok || next != n.Eng.Now() {
+			t.Fatalf("next event at %v (ok %v), want the burst's wake at %v", next, ok, n.Eng.Now())
+		}
+		n.Eng.Step()
+		solves = n.flowEng.Solves() - before
+		n.Run()
+		for i, c := range count {
+			if c != 1 {
+				t.Errorf("message %d delivered %d times, want once", i, c)
+			}
+		}
+		return solves, at
+	}
+	solves, got := burst(false)
+	if solves != 1 {
+		t.Errorf("a burst of %d sends at one instant ran %d solves, want 1", k, solves)
+	}
+	refSolves, want := burst(true)
+	if refSolves != k {
+		t.Fatalf("reference ran %d solves, want one per send (%d)", refSolves, k)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("message %d delivered at %v, want %v as when solving after every send", i, got[i], want[i])
+		}
+	}
+}

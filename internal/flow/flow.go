@@ -306,7 +306,9 @@ func (e *Engine) Resolve() {
 // candidates, the one whose most-loaded fabric segment carries the
 // fewest flows (ties: fewer total flows, then candidate order). The rate
 // solve is lazy — it folds in at the next Advance/Resolve, so a burst of
-// Starts at one instant costs one component solve, not one per Start.
+// Starts at one instant costs one component solve, not one per Start, as
+// long as the caller does not Advance between them (Advance solves a
+// pending change even when no time passes).
 func (e *Engine) Start(src, dst topology.NodeID, bytes int64, opt FlowOpts) int64 {
 	f := e.alloc()
 	f.src, f.dst = src, dst

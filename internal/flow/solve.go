@@ -256,10 +256,12 @@ func (e *Engine) NextWake() sim.Time {
 //
 // A pending set change (dirty) folds in at the engine's current clock:
 // callers that care about exact start times (the fabric does) Advance to
-// their present before Start, so the new solution takes over
-// at its event time instead of smearing back to the last tick. On a
-// quiet call with nothing due the early-out returns without scanning or
-// solving.
+// their present before Start whenever the fluid clock lags, so the new
+// solution takes over at its event time instead of smearing back to the
+// last tick. Starts at the clock's own instant need no Advance: their
+// changes accumulate and one later Advance (or Resolve) solves them all.
+// On a quiet call with nothing due the early-out returns without
+// scanning or solving.
 //
 //simlint:hotpath
 func (e *Engine) Advance(to sim.Time) {

@@ -16,6 +16,7 @@ func init() {
 		Name:           "fig12",
 		Desc:           "bursty incast aggressor impact over burst size x gap heatmaps",
 		DefaultOptions: fig12Defaults,
+		MinNodes:       2, // one node each for the victim and the aggressor half
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig12Bursty(opt, nil, nil, nil).Result(), nil
 		},

@@ -22,6 +22,9 @@ func init() {
 		Name:           "fig13",
 		Desc:           "traffic-class isolation of a latency-critical allreduce over time",
 		DefaultOptions: fig13Defaults,
+		// A one-rank allreduce takes no simulated time, so a one-node victim
+		// half would never reach the run's horizon.
+		MinNodes: 4,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig13TrafficClasses(opt).Result(), nil
 		},
@@ -30,6 +33,7 @@ func init() {
 		Name:           "fig14",
 		Desc:           "guaranteed-minimum bandwidth split between two jobs over time",
 		DefaultOptions: fig14Defaults,
+		MinNodes:       2, // one node per job
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig14Bandwidth(opt).Result(), nil
 		},

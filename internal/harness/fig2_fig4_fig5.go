@@ -22,6 +22,7 @@ func init() {
 		Name:           "fig2",
 		Desc:           "switch traversal latency distribution (2-hop minus 1-hop RoCE)",
 		DefaultOptions: fig2Defaults,
+		MinNodes:       1,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig2SwitchLatency(opt).Result(), nil
 		},
@@ -30,6 +31,7 @@ func init() {
 		Name:           "fig4",
 		Desc:           "latency and bandwidth vs node distance and message size",
 		DefaultOptions: fig4Defaults,
+		MinNodes:       1,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig4Distance(opt).Result(), nil
 		},
@@ -38,6 +40,7 @@ func init() {
 		Name:           "fig5",
 		Desc:           "RTT/2 across software stacks and message sizes",
 		DefaultOptions: fig5Defaults,
+		MinNodes:       1,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig5Stacks(opt).Result(), nil
 		},

@@ -15,6 +15,7 @@ func init() {
 		Name:           "fig6",
 		Desc:           "bisection and MPI_Alltoall aggregate bandwidth vs theoretical peak",
 		DefaultOptions: fig6Defaults,
+		MinNodes:       1,
 		Run: func(opt Options) (*results.Result, error) {
 			return Fig6Bisection(opt).Result(), nil
 		},

@@ -25,20 +25,24 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite the golden run fil
 // global-link bisection with adaptive routing (fig6), congestion control
 // under aggressors (fig8, fig12), QoS traffic classes (fig13), the
 // fat-tree + HyperX backends behind the Topology interface (topo-compare),
-// and the routing x CC policy layers (policy-compare — all four routing
-// policies and all three default CC backends on every topology).
+// the routing x CC policy layers (policy-compare — all four routing
+// policies and all three default CC backends on every topology), and the
+// fluid solver end to end (fig6-flow: fig6 with every transfer at flow
+// fidelity). name keys the golden file; experiment is the registry name.
 var goldenCases = []struct {
-	name string
-	opt  Options
+	name       string
+	experiment string
+	opt        Options
 }{
-	{"fig2", Options{Nodes: 32, MaxIters: 300, Seed: 7}},
-	{"fig4", Options{Nodes: 32, MaxIters: 8, Seed: 7}},
-	{"fig6", Options{Nodes: 32, Seed: 7}},
-	{"fig8", Options{Nodes: 48, MaxIters: 6, Seed: 7}},
-	{"fig12", Options{Nodes: 24, MinIters: 2, MaxIters: 3, Seed: 7}},
-	{"fig13", Options{Nodes: 24, Seed: 7}},
-	{"topo-compare", Options{Nodes: 24, MinIters: 1, MaxIters: 2, Seed: 7}},
-	{"policy-compare", Options{Nodes: 24, MinIters: 1, MaxIters: 2, Seed: 7}},
+	{"fig2", "fig2", Options{Nodes: 32, MaxIters: 300, Seed: 7}},
+	{"fig4", "fig4", Options{Nodes: 32, MaxIters: 8, Seed: 7}},
+	{"fig6", "fig6", Options{Nodes: 32, Seed: 7}},
+	{"fig6-flow", "fig6", Options{Nodes: 32, Seed: 7, Fidelity: "flow"}},
+	{"fig8", "fig8", Options{Nodes: 48, MaxIters: 6, Seed: 7}},
+	{"fig12", "fig12", Options{Nodes: 24, MinIters: 2, MaxIters: 3, Seed: 7}},
+	{"fig13", "fig13", Options{Nodes: 24, Seed: 7}},
+	{"topo-compare", "topo-compare", Options{Nodes: 24, MinIters: 1, MaxIters: 2, Seed: 7}},
+	{"policy-compare", "policy-compare", Options{Nodes: 24, MinIters: 1, MaxIters: 2, Seed: 7}},
 }
 
 func TestGoldenRunJSON(t *testing.T) {
@@ -55,9 +59,9 @@ func TestGoldenRunJSON(t *testing.T) {
 	for _, c := range goldenCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			e := Lookup(c.name)
+			e := Lookup(c.experiment)
 			if e == nil {
-				t.Fatalf("experiment %q not registered", c.name)
+				t.Fatalf("experiment %q not registered", c.experiment)
 			}
 			path := filepath.Join("testdata", fmt.Sprintf("golden_%s.json", c.name))
 			buf := goldenRun(t, enc, e, c.opt)
@@ -99,9 +103,9 @@ func TestShardedGoldenDomains(t *testing.T) {
 	for _, c := range goldenCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			e := Lookup(c.name)
+			e := Lookup(c.experiment)
 			if e == nil {
-				t.Fatalf("experiment %q not registered", c.name)
+				t.Fatalf("experiment %q not registered", c.experiment)
 			}
 			path := filepath.Join("testdata", fmt.Sprintf("golden_%s.json", c.name))
 			want, err := os.ReadFile(path)

@@ -173,6 +173,11 @@ func (a *cellArena) nodeBuf(total int) []topology.NodeID {
 	return a.nodes[:0]
 }
 
+// gridMinNodes is the smallest machine a congestion cell runs on: the
+// victim share clamps to leave the aggressor two nodes, so three nodes
+// still give the victim one.
+const gridMinNodes = 3
+
 // RunCell measures the congestion impact of one victim/aggressor pairing
 // following §III-A: measure the victim isolated, start the aggressor, warm
 // up, measure again, report C = Tc/Ti of the means.

@@ -16,6 +16,7 @@ func init() {
 		Name:           "policy-compare",
 		Desc:           "victim slowdown across routing policies x CC backends x topologies",
 		DefaultOptions: policyCompareDefaults,
+		MinNodes:       gridMinNodes,
 		// The CC contrast needs real pressure on the incast destination:
 		// default to a multi-process aggressor, in the spirit of Fig. 10's
 		// panel B. Prepare runs before defaults merge, so only an unset

@@ -21,6 +21,10 @@ type Experiment struct {
 	// fields of the options passed to Run are filled from here before
 	// the experiment sees them.
 	DefaultOptions Options
+	// MinNodes is the smallest node count the experiment runs at. Every
+	// experiment declares one (at least 1); Run rejects a smaller
+	// effective count before any simulation starts.
+	MinNodes int
 	// Prepare, when set, adjusts the raw options before defaults are
 	// merged — it is the only hook that can still distinguish "field
 	// not specified" (zero) from an explicit value.
@@ -32,11 +36,9 @@ type Experiment struct {
 var registry = map[string]*Experiment{} //simlint:shared -- written only by init-time Register (panics on duplicates); read-only once main starts
 
 // Register adds an experiment to the registry. It panics on a duplicate
-// or empty name — registration happens in init functions, so both are
-// programming errors. The registered Run is wrapped to reject options
-// outside every experiment's domain (Options.validate), to turn a panic
-// into an error, to prefix errors with the experiment name, and to stamp
-// result metadata and wall time.
+// or empty name, a missing Run or an undeclared MinNodes — registration
+// happens in init functions, so all are programming errors. The
+// registered Run is wrapped by guardRun.
 func Register(e Experiment) {
 	if e.Name == "" {
 		panic("harness: Register with empty experiment name")
@@ -44,13 +46,24 @@ func Register(e Experiment) {
 	if _, dup := registry[e.Name]; dup {
 		panic(fmt.Sprintf("harness: duplicate experiment %q", e.Name))
 	}
-	run := e.Run
-	if run == nil {
+	if e.Run == nil {
 		panic(fmt.Sprintf("harness: experiment %q has no Run", e.Name))
 	}
-	name, desc := e.Name, e.Desc
-	prepare, defaults := e.Prepare, e.DefaultOptions
-	e.Run = func(opt Options) (res *results.Result, err error) {
+	if e.MinNodes < 1 {
+		panic(fmt.Sprintf("harness: experiment %q declares no MinNodes", e.Name))
+	}
+	e.Run = guardRun(e)
+	registry[e.Name] = &e
+}
+
+// guardRun wraps e.Run to reject options outside every experiment's
+// domain (Options.validate) and node counts below e.MinNodes, to turn a
+// panic into an error, to prefix errors with the experiment name, and to
+// stamp result metadata and wall time.
+func guardRun(e Experiment) func(Options) (*results.Result, error) {
+	run, name, desc := e.Run, e.Name, e.Desc
+	prepare, defaults, minNodes := e.Prepare, e.DefaultOptions, e.MinNodes
+	return func(opt Options) (res *results.Result, err error) {
 		if err := opt.validate(); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
@@ -66,6 +79,9 @@ func Register(e Experiment) {
 			opt = prepare(opt)
 		}
 		opt = opt.withDefaults(defaults)
+		if opt.Nodes < minNodes {
+			return nil, fmt.Errorf("%s: %d nodes is below the minimum of %d", name, opt.Nodes, minNodes)
+		}
 		start := wallClock.Now()
 		res, err = run(opt)
 		if err != nil {
@@ -81,7 +97,6 @@ func Register(e Experiment) {
 		res.Meta.Wall = wallClock.Now().Sub(start)
 		return res, nil
 	}
-	registry[e.Name] = &e
 }
 
 // Lookup returns the named experiment, or nil when unknown.

@@ -253,20 +253,55 @@ func TestRegisterRejectsBadOptions(t *testing.T) {
 	}
 }
 
-// TestRunPanicBecomesError: a run whose grid points panic (two nodes
-// leave the victim job none) returns an error naming the experiment and
-// the grid point instead of aborting the process from a worker.
+// TestRunPanicBecomesError: a run whose grid point panics returns an
+// error naming the experiment and the grid point instead of aborting the
+// process from a worker.
 func TestRunPanicBecomesError(t *testing.T) {
-	for _, name := range []string{"fig8", "policy-compare"} {
-		_, err := Lookup(name).Run(Options{Nodes: 2, MinIters: 1, MaxIters: 1, Jobs: 2})
-		if err == nil {
-			t.Errorf("%s -nodes 2: no error", name)
-			continue
+	run := guardRun(Experiment{
+		Name:           "boom",
+		DefaultOptions: Options{Nodes: 4},
+		MinNodes:       1,
+		Run: func(opt Options) (*results.Result, error) {
+			parallelFor(4, opt.Jobs, func(i int) {
+				if i == 2 {
+					panic("mpi: job with no nodes")
+				}
+			})
+			return &results.Result{}, nil
+		},
+	})
+	for _, jobs := range []int{1, 2} {
+		_, err := run(Options{Jobs: jobs})
+		if want := "boom: grid point 2: mpi: job with no nodes"; err == nil || err.Error() != want {
+			t.Errorf("jobs=%d: error %v, want %q", jobs, err, want)
 		}
-		want := name + ": grid point 0: mpi: job with no nodes"
-		if err.Error() != want {
-			t.Errorf("%s -nodes 2: error %q, want %q", name, err, want)
-		}
+	}
+}
+
+// TestRegistryMinNodes: every experiment declares its smallest node
+// count, runs at it, and rejects one node fewer up front with an error
+// naming the minimum.
+func TestRegistryMinNodes(t *testing.T) {
+	for _, e := range All() {
+		e := e
+		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
+			if e.MinNodes < 1 {
+				t.Fatalf("MinNodes = %d, want at least 1", e.MinNodes)
+			}
+			opt := Options{Nodes: e.MinNodes, MinIters: 1, MaxIters: 1, Jobs: 2, Seed: 7}
+			if _, err := e.Run(opt); err != nil {
+				t.Errorf("at MinNodes %d: %v", e.MinNodes, err)
+			}
+			if e.MinNodes == 1 {
+				return // zero nodes means the default scale
+			}
+			opt.Nodes = e.MinNodes - 1
+			want := fmt.Sprintf("%s: %d nodes is below the minimum of %d", e.Name, opt.Nodes, e.MinNodes)
+			if _, err := e.Run(opt); err == nil || err.Error() != want {
+				t.Errorf("at %d nodes: error %v, want %q", opt.Nodes, err, want)
+			}
+		})
 	}
 }
 

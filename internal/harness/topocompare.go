@@ -17,6 +17,7 @@ func init() {
 		Name:           "topo-compare",
 		Desc:           "same victim/aggressor mix across dragonfly, fat-tree and HyperX backends",
 		DefaultOptions: topoCompareDefaults,
+		MinNodes:       gridMinNodes,
 		Run: func(opt Options) (*results.Result, error) {
 			r, err := TopoCompare(opt)
 			if err != nil {
