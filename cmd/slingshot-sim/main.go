@@ -180,29 +180,6 @@ func run(args []string, w io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	switch cfg.panel {
-	case "A", "B", "C":
-	default:
-		return fmt.Errorf("unknown panel %q (want A|B|C)", cfg.panel)
-	}
-	switch cfg.topo {
-	case "", "dragonfly", "fattree", "hyperx":
-	default:
-		return fmt.Errorf("unknown topology %q (want dragonfly|fattree|hyperx)", cfg.topo)
-	}
-	if cfg.routing != "" {
-		if _, err := routing.ByName(cfg.routing); err != nil {
-			return err
-		}
-	}
-	if cfg.cc != "" {
-		if _, err := congestion.ByName(cfg.cc); err != nil {
-			return err
-		}
-	}
-	if _, err := fabric.ParseFidelity(cfg.fidelity); err != nil {
-		return err
-	}
 	seeds, err := parseSeeds(cfg.seeds, cfg.seed)
 	if err != nil {
 		return err

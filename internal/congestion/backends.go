@@ -64,6 +64,7 @@ func (c *base) pair(dst topology.NodeID) *pairState {
 }
 
 // CanSend implements the shared window/pacing admission check.
+//
 //simlint:hotpath
 func (c *base) CanSend(dst topology.NodeID, bytes int64, now sim.Time) (ok bool, retryAt sim.Time) {
 	ps := c.pair(dst)
@@ -82,6 +83,7 @@ func (c *base) CanSend(dst topology.NodeID, bytes int64, now sim.Time) (ok bool,
 }
 
 // OnSend records an injection of bytes to dst.
+//
 //simlint:hotpath
 func (c *base) OnSend(dst topology.NodeID, bytes int64, now sim.Time) {
 	ps := c.pair(dst)
@@ -132,6 +134,7 @@ func (c *noCC) Algorithm() string { return None.String() }
 func (c *noCC) Hooks() Hooks { return Hooks{} }
 
 // OnAck only settles the outstanding-byte account.
+//
 //simlint:hotpath
 func (c *noCC) OnAck(dst topology.NodeID, bytes int64, _ bool, _, _ sim.Time) bool {
 	c.ackSettle(dst, bytes)
@@ -153,6 +156,7 @@ func (c *slingshot) Algorithm() string { return Slingshot.String() }
 func (c *slingshot) Hooks() Hooks { return Hooks{EndpointSignals: true} }
 
 // OnAck recovers fast once the back-pressure stops.
+//
 //simlint:hotpath
 func (c *slingshot) OnAck(dst topology.NodeID, bytes int64, _ bool, _, now sim.Time) bool {
 	ps := c.ackSettle(dst, bytes)
@@ -214,6 +218,7 @@ func (c *ecnLike) Algorithm() string { return ECNLike.String() }
 func (c *ecnLike) Hooks() Hooks { return Hooks{ECNMarks: true} }
 
 // OnAck cuts on marks and recovers slowly otherwise.
+//
 //simlint:hotpath
 func (c *ecnLike) OnAck(dst topology.NodeID, bytes int64, marked bool, _, now sim.Time) bool {
 	ps := c.ackSettle(dst, bytes)
@@ -287,6 +292,7 @@ func (c *delayBased) Algorithm() string { return Delay.String() }
 func (c *delayBased) Hooks() Hooks { return Hooks{} }
 
 // OnAck compares the sample against the target RTT.
+//
 //simlint:hotpath
 func (c *delayBased) OnAck(dst topology.NodeID, bytes int64, _ bool, rtt, now sim.Time) bool {
 	ps := c.ackSettle(dst, bytes)

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+
 	"repro/internal/fabric"
 	"repro/internal/mpi"
 	"repro/internal/placement"
@@ -26,6 +28,9 @@ func init() {
 		// half would never reach the run's horizon.
 		MinNodes: 4,
 		Run: func(opt Options) (*results.Result, error) {
+			if err := packetOnly(opt); err != nil {
+				return nil, err
+			}
 			return Fig13TrafficClasses(opt).Result(), nil
 		},
 	})
@@ -35,9 +40,22 @@ func init() {
 		DefaultOptions: fig14Defaults,
 		MinNodes:       2, // one node per job
 		Run: func(opt Options) (*results.Result, error) {
+			if err := packetOnly(opt); err != nil {
+				return nil, err
+			}
 			return Fig14Bandwidth(opt).Result(), nil
 		},
 	})
+}
+
+// packetOnly rejects a non-packet fidelity for fig13/fig14: traffic
+// classes are modelled only by the packet engine, which is the one their
+// networks are built on.
+func packetOnly(opt Options) error {
+	if f := opt.fidelity(); f != fabric.FidelityPacket {
+		return fmt.Errorf("fidelity %q is not supported (traffic classes are modelled only at packet fidelity)", f)
+	}
+	return nil
 }
 
 // qosTwoClasses builds the Fig. 13 configuration: a high-priority,

@@ -8,7 +8,6 @@ import (
 	"repro/internal/placement"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/topology"
 	"repro/internal/workloads"
 )
 
@@ -142,37 +141,6 @@ func isPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
 // encoders would expose that artifact as a grouping key.
 func aggrFrac(vf float64) float64 { return math.Round((1-vf)*1e6) / 1e6 }
 
-// cellArena is per-worker scratch a RunGrid worker reuses across the
-// cells it measures: the isolated/congested stats accumulators and the
-// placement node buffer. Everything in it is reset (or fully rewritten)
-// at the start of each cell, so arena reuse cannot leak state between
-// cells — it only removes steady-state allocations from the harness side
-// of the measurement loop.
-type cellArena struct {
-	iso, cong *stats.Sample
-	nodes     []topology.NodeID
-}
-
-// samples returns the two reset measurement accumulators, growing them to
-// at least capacity on first use (or after a larger cell).
-func (a *cellArena) samples(capacity int) (iso, cong *stats.Sample) {
-	if a.iso == nil || a.iso.Cap() < capacity {
-		a.iso = stats.NewSample(capacity)
-		a.cong = stats.NewSample(capacity)
-	}
-	a.iso.Reset()
-	a.cong.Reset()
-	return a.iso, a.cong
-}
-
-// nodeBuf returns a buffer with capacity for total node IDs.
-func (a *cellArena) nodeBuf(total int) []topology.NodeID {
-	if cap(a.nodes) < total {
-		a.nodes = make([]topology.NodeID, total)
-	}
-	return a.nodes[:0]
-}
-
 // gridMinNodes is the smallest machine a congestion cell runs on: the
 // victim share clamps to leave the aggressor two nodes, so three nodes
 // still give the victim one.
@@ -182,12 +150,6 @@ const gridMinNodes = 3
 // following §III-A: measure the victim isolated, start the aggressor, warm
 // up, measure again, report C = Tc/Ti of the means.
 func RunCell(spec CellSpec, v Victim) CellResult {
-	return runCellArena(spec, v, &cellArena{})
-}
-
-// runCellArena is RunCell drawing its harness-side scratch from a
-// (possibly shared-across-cells) arena.
-func runCellArena(spec CellSpec, v Victim, arena *cellArena) CellResult {
 	res := CellResult{
 		Victim:    v.Label,
 		Aggressor: spec.Aggressor.String(),
@@ -208,7 +170,7 @@ func runCellArena(spec CellSpec, v Victim, arena *cellArena) CellResult {
 	}
 	net := spec.Sys.build(spec.Seed)
 	rng := sim.NewRNG(spec.Seed ^ 0x9e3779b9)
-	victimNodes, aggrNodes := placement.SplitBuf(arena.nodeBuf(total), total, nv, spec.Alloc, rng.Split())
+	victimNodes, aggrNodes := placement.Split(total, nv, spec.Alloc, rng.Split())
 
 	vjob := mpi.NewJob(net, victimNodes, mpi.JobOpts{Stack: mpi.MPI, Tag: 1})
 	minIters, maxIters := spec.MinIters, spec.MaxIters
@@ -223,7 +185,7 @@ func runCellArena(spec CellSpec, v Victim, arena *cellArena) CellResult {
 		}
 	}
 
-	iso, cong := arena.samples(maxIters)
+	iso, cong := stats.NewSample(maxIters), stats.NewSample(maxIters)
 	measureVictim(iso, vjob, v, rng.Split(), minIters, maxIters)
 	res.Isolated = iso.Mean()
 
@@ -255,7 +217,7 @@ func runCellArena(spec CellSpec, v Victim, arena *cellArena) CellResult {
 }
 
 // measureVictim runs the victim's measurement loop, accumulating
-// iteration times into the caller-owned (typically arena-recycled) s.
+// iteration times into s.
 func measureVictim(s *stats.Sample, j *mpi.Job, v Victim, rng *sim.RNG, minIters, maxIters int) {
 	net := j.Net
 	for i := 0; i < maxIters; i++ {

@@ -16,8 +16,12 @@ package harness
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 
+	"repro/internal/congestion"
 	"repro/internal/fabric"
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -60,8 +64,8 @@ type Options struct {
 }
 
 // fidelity parses Options.Fidelity, panicking on a spelling ParseFidelity
-// rejects — the CLI validates first, so a bad value here is programmer
-// error.
+// rejects — Options.validate runs first, so a bad value here is
+// programmer error.
 func (o Options) fidelity() fabric.Fidelity {
 	f, err := fabric.ParseFidelity(o.Fidelity)
 	if err != nil {
@@ -80,6 +84,20 @@ func (o Options) validate() error {
 		return fmt.Errorf("negative processes per node %d", o.PPN)
 	case o.Domains != 0 && o.Domains != 1:
 		return fmt.Errorf("domains %d: the sharded engine is gone, only 0 or 1 is accepted", o.Domains)
+	case !slices.Contains([]string{"", "A", "B", "C"}, o.Panel):
+		return fmt.Errorf("unknown panel %q (want A|B|C)", o.Panel)
+	case o.Topo != "" && !slices.Contains(TopoNames[:], o.Topo):
+		return fmt.Errorf("unknown topology %q (want %s)", o.Topo, strings.Join(TopoNames[:], "|"))
+	}
+	if o.Routing != "" {
+		if _, err := routing.ByName(o.Routing); err != nil {
+			return err
+		}
+	}
+	if o.CC != "" {
+		if _, err := congestion.ByName(o.CC); err != nil {
+			return err
+		}
 	}
 	_, err := fabric.ParseFidelity(o.Fidelity)
 	return err

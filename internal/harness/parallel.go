@@ -21,59 +21,32 @@ type GridPoint struct {
 // means GOMAXPROCS) and returns results in point order. Because each
 // point's seed is fixed up front and results are written by index, the
 // output is identical for any worker count — jobs trades wall-clock time
-// only, never determinism. Each worker owns a cellArena of reusable
-// harness scratch (stats accumulators, placement buffers), so steady-state
-// cells stop re-allocating measurement-side state; arenas never influence
-// results, only allocation counts.
+// only, never determinism.
 func RunGrid(points []GridPoint, jobs int) []CellResult {
-	out := make([]CellResult, len(points))
-	arenas := make([]cellArena, poolWidth(len(points), jobs))
-	parallelForWorkers(len(points), jobs, func(w, i int) {
-		out[i] = runCellArena(points[i].Spec, points[i].Victim, &arenas[w])
+	return parallelMap(jobs, points, func(p GridPoint) CellResult {
+		return RunCell(p.Spec, p.Victim)
 	})
-	return out
 }
 
-// poolWidth resolves the effective worker count parallelForWorkers will
-// use for n items and a requested jobs value.
-func poolWidth(n, jobs int) int {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > n {
-		jobs = n
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	return jobs
-}
-
-// parallelFor runs f(0..n-1) across up to jobs goroutines.
-func parallelFor(n, jobs int, f func(int)) {
-	parallelForWorkers(n, jobs, func(_, i int) { f(i) })
-}
-
-// parallelForWorkers is parallelFor with the worker index exposed:
-// f(w, i) runs item i on worker w, where w < poolWidth(n, jobs). Items
-// are handed out dynamically, so w carries no meaning beyond "at most
-// one f call with this w runs at a time" — exactly the property
-// per-worker arenas need.
+// parallelFor runs f(0..n-1) across up to jobs goroutines (jobs <= 0
+// means GOMAXPROCS).
 //
 // A panic in f does not kill the process from a worker goroutine: the
 // item's panic is recovered, no further items start, the running ones
 // finish, and the lowest panicking item is re-raised on the calling
 // goroutine as an itemPanic. Items start in index order, so that item
 // is the same for any jobs value.
-func parallelForWorkers(n, jobs int, f func(worker, i int)) {
-	jobs = poolWidth(n, jobs)
+func parallelFor(n, jobs int, f func(int)) {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
 	var (
 		next    atomic.Int64
 		stop    atomic.Bool
 		mu      sync.Mutex
 		failure *itemPanic
 	)
-	run := func(w, i int) {
+	run := func(i int) {
 		defer func() {
 			if v := recover(); v != nil {
 				stop.Store(true)
@@ -84,27 +57,28 @@ func parallelForWorkers(n, jobs int, f func(worker, i int)) {
 				mu.Unlock()
 			}
 		}()
-		f(w, i)
+		f(i)
 	}
-	work := func(w int) {
+	work := func() {
 		for !stop.Load() {
 			i := int(next.Add(1)) - 1
 			if i >= n {
 				return
 			}
-			run(w, i)
+			run(i)
 		}
 	}
+	jobs = min(jobs, n)
 	if jobs <= 1 {
-		work(0)
+		work()
 	} else {
 		var wg sync.WaitGroup
 		wg.Add(jobs)
 		for w := 0; w < jobs; w++ {
-			go func(w int) {
+			go func() {
 				defer wg.Done()
-				work(w)
-			}(w)
+				work()
+			}()
 		}
 		wg.Wait()
 	}

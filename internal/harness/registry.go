@@ -68,7 +68,7 @@ func guardRun(e Experiment) func(Options) (*results.Result, error) {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		// A panic inside the experiment (a worker's included, re-raised
-		// by parallelForWorkers) becomes this run's error, so one bad run
+		// by parallelFor) becomes this run's error, so one bad run
 		// does not take the process and its other results down with it.
 		defer func() {
 			if v := recover(); v != nil {

@@ -240,6 +240,10 @@ func TestRegisterRejectsBadOptions(t *testing.T) {
 		{Options{Domains: 2}, "domains 2"},
 		{Options{Domains: -1}, "domains -1"},
 		{Options{Fidelity: "quantum"}, "unknown fidelity"},
+		{Options{Topo: "bogus"}, `unknown topology "bogus"`},
+		{Options{Routing: "nope"}, `unknown policy "nope"`},
+		{Options{CC: "nope"}, `unknown algorithm "nope"`},
+		{Options{Panel: "D"}, `unknown panel "D"`},
 	}
 	for _, c := range cases {
 		_, err := Lookup("fig2").Run(c.opt)
@@ -249,6 +253,22 @@ func TestRegisterRejectsBadOptions(t *testing.T) {
 		}
 		if msg := err.Error(); !strings.HasPrefix(msg, "fig2: ") || !strings.Contains(msg, c.want) {
 			t.Errorf("%+v: error %q, want fig2-prefixed and containing %q", c.opt, msg, c.want)
+		}
+	}
+}
+
+// TestTrafficClassFiguresRejectNonPacketFidelity: fig13 and fig14 build
+// their networks on the packet engine, the only one with traffic
+// classes, so a flow or hybrid request is an error, not a packet run
+// under another name.
+func TestTrafficClassFiguresRejectNonPacketFidelity(t *testing.T) {
+	for _, name := range []string{"fig13", "fig14"} {
+		for _, fid := range []string{"flow", "hybrid"} {
+			_, err := Lookup(name).Run(Options{Nodes: 8, Fidelity: fid})
+			want := fmt.Sprintf("%s: fidelity %q is not supported (traffic classes are modelled only at packet fidelity)", name, fid)
+			if err == nil || err.Error() != want {
+				t.Errorf("%s -fidelity %s: error %v, want %q", name, fid, err, want)
+			}
 		}
 	}
 }

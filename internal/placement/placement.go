@@ -55,32 +55,14 @@ func ParsePolicy(s string) (Policy, error) {
 // used only by Random (and may be nil for the other policies). The returned
 // slices are sorted in the placement's natural order.
 func Split(total, victims int, policy Policy, rng *sim.RNG) (victim, aggressor []topology.NodeID) {
-	return SplitBuf(nil, total, victims, policy, rng)
-}
-
-// SplitBuf is Split backed by a caller-owned buffer: when cap(buf) is at
-// least total, the two returned slices alias disjoint, capacity-capped
-// regions of it and the call allocates no node storage. A short (or nil)
-// buf falls back to fresh slices. The grid harness passes a per-worker
-// arena buffer so repeated cells reuse one allocation.
-func SplitBuf(buf []topology.NodeID, total, victims int, policy Policy, rng *sim.RNG) (victim, aggressor []topology.NodeID) {
 	if victims < 0 {
 		victims = 0
 	}
 	if victims > total {
 		victims = total
 	}
-	if cap(buf) >= total {
-		buf = buf[:total]
-		// Three-index slicing walls the regions off from each other: an
-		// append past either region's capacity reallocates instead of
-		// silently overwriting its neighbour.
-		victim = buf[0:0:victims]
-		aggressor = buf[victims:victims:total]
-	} else {
-		victim = make([]topology.NodeID, 0, victims)
-		aggressor = make([]topology.NodeID, 0, total-victims)
-	}
+	victim = make([]topology.NodeID, 0, victims)
+	aggressor = make([]topology.NodeID, 0, total-victims)
 	switch policy {
 	case Linear:
 		for n := 0; n < total; n++ {

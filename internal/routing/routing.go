@@ -9,7 +9,7 @@
 //
 //   - Retainable result: the returned Path is kept by the packet for its
 //     whole flight. Candidates obtained from Topology.NonMinimalPaths live
-//     in the topology's reusable arena, so a policy that selects one MUST
+//     in the context's reusable arena, so a policy that selects one MUST
 //     copy it (the minimal candidates passed in are cached and shared —
 //     returning one of those as-is is fine, mutating it is not).
 //   - RNG-stream stability: all randomness comes from the rng argument, in
@@ -53,23 +53,11 @@ type Context struct {
 	// information); it models the staleness of distributed congestion
 	// estimates (§II-C).
 	RouteNoise float64
-	// Arena, when non-nil, is the caller-owned path-construction scratch
-	// policies must use for non-minimal candidates (via
-	// Topology.NonMinimalPathsIn). The fabric passes its own arena, so
-	// networks sharing one topology never share scratch; nil falls back
-	// to the topology's embedded arena.
+	// Arena is the caller-owned path-construction scratch policies must
+	// pass to Topology.NonMinimalPaths; it is required whenever the
+	// policy consults non-minimal candidates. The fabric passes its own
+	// arena, so networks sharing one topology never share scratch.
 	Arena *topology.PathArena
-}
-
-// nonMinimalPaths enumerates non-minimal candidates through the context's
-// arena when one is provided, else the topology's embedded arena.
-//
-//simlint:hotpath
-func nonMinimalPaths(topo topology.Topology, ctx Context, rng *sim.RNG, max int) []topology.Path {
-	if ctx.Arena != nil {
-		return topo.NonMinimalPathsIn(ctx.Arena, ctx.Src, ctx.Dst, rng, max)
-	}
-	return topo.NonMinimalPaths(ctx.Src, ctx.Dst, rng, max)
 }
 
 // LoadReader is the policy's read-only view of fabric congestion state:

@@ -30,13 +30,6 @@ func FromSlice(xs []float64) *Sample {
 	return s
 }
 
-// Reset empties the sample, keeping its backing storage for reuse (the
-// grid harness recycles accumulators across cells in per-worker arenas).
-func (s *Sample) Reset() {
-	s.xs = s.xs[:0]
-	s.sorted = false
-}
-
 // Add appends one observation.
 func (s *Sample) Add(x float64) {
 	s.xs = append(s.xs, x)
@@ -45,9 +38,6 @@ func (s *Sample) Add(x float64) {
 
 // Len returns the number of observations.
 func (s *Sample) Len() int { return len(s.xs) }
-
-// Cap returns how many observations fit without re-allocating.
-func (s *Sample) Cap() int { return cap(s.xs) }
 
 // Values returns the raw observations (not a copy; do not mutate).
 func (s *Sample) Values() []float64 { return s.xs }

@@ -61,7 +61,6 @@ func (c HyperXConfig) Build() (Topology, error) { return NewHyperX(c) }
 type HyperX struct {
 	adjacency
 	linkTable
-	PathArena
 	Cfg   HyperXConfig
 	nodes int
 	// stride[d] is the ID weight of coordinate d.
@@ -211,19 +210,12 @@ func (h *HyperX) arenaDOR(a *PathArena, src, dst SwitchID) Path {
 	return a.pathNodes[s:len(a.pathNodes):len(a.pathNodes)]
 }
 
-// NonMinimalPaths enumerates Valiant detours in the topology's embedded
-// arena (copy to retain; single-goroutine use only — see
-// NonMinimalPathsIn).
-func (h *HyperX) NonMinimalPaths(src, dst SwitchID, rng *sim.RNG, max int) []Path {
-	return h.NonMinimalPathsIn(&h.PathArena, src, dst, rng, max)
-}
-
-// NonMinimalPathsIn enumerates up to max Valiant detours in the caller's
+// NonMinimalPaths enumerates up to max Valiant detours in the caller's
 // arena, via a random intermediate switch with dimension-order routing to
 // it and onwards. rng draws follow a fixed order so replays are
 // deterministic; nil rng starts from switch 0. The returned paths live in
 // the arena, which the next call on it reuses.
-func (h *HyperX) NonMinimalPathsIn(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path {
+func (h *HyperX) NonMinimalPaths(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path {
 	if max <= 0 {
 		max = 2
 	}

@@ -115,10 +115,11 @@ func TestHyperXMinimalPaths(t *testing.T) {
 }
 
 func TestHyperXNonMinimalPaths(t *testing.T) {
+	var ar PathArena
 	h := smallHX()
 	rng := sim.NewRNG(9)
 	for dst := SwitchID(1); int(dst) < h.Switches(); dst++ {
-		ps := h.NonMinimalPaths(0, dst, rng, 2)
+		ps := h.NonMinimalPaths(&ar, 0, dst, rng, 2)
 		if len(ps) == 0 {
 			t.Fatalf("no detours 0->%d", dst)
 		}
@@ -132,10 +133,10 @@ func TestHyperXNonMinimalPaths(t *testing.T) {
 		}
 	}
 	// The arena is reused across calls: retained paths must be copied.
-	first := h.NonMinimalPaths(0, 5, nil, 1)
+	first := h.NonMinimalPaths(&ar, 0, 5, nil, 1)
 	keep := append(Path(nil), first[0]...)
-	h.NonMinimalPaths(6, 11, nil, 1)
-	again := h.NonMinimalPaths(0, 5, nil, 1)
+	h.NonMinimalPaths(&ar, 6, 11, nil, 1)
+	again := h.NonMinimalPaths(&ar, 0, 5, nil, 1)
 	for i := range keep {
 		if keep[i] != again[0][i] {
 			t.Fatalf("nil-rng detour not stable: %v vs %v", keep, again[0])
@@ -172,4 +173,8 @@ func TestHyperXFor(t *testing.T) {
 			t.Errorf("HyperXFor(%d) covers only %d nodes (dims %v)", n, got, cfg.Dims)
 		}
 	}
+}
+
+func TestHyperXArenasIndependent(t *testing.T) {
+	checkArenasIndependent(t, func() Topology { return smallHX() })
 }

@@ -17,11 +17,12 @@ import "repro/internal/sim"
 //     neighbor list (the order Neighbors reports) for the lifetime of the
 //     topology, or -1 when not adjacent. The routing hot path does zero map
 //     lookups per hop.
-//   - Arena reuse: NonMinimalPaths builds its candidates in a per-topology
-//     scratch arena that the next call on the same topology overwrites.
-//     Callers must copy any path they retain past their routing decision,
-//     and must not route on a shared topology from multiple goroutines
-//     (each fabric.Network builds its own).
+//   - Arena reuse: NonMinimalPaths builds its candidates in the caller's
+//     PathArena, which the next call on that arena overwrites. Callers
+//     must copy any path they retain past their routing decision. A built
+//     topology is immutable, so networks on different goroutines may share
+//     one as long as each routes through its own arena (every
+//     fabric.Network owns one).
 //   - RNG-stream stability: MinimalPaths is deterministic and RNG-free (so
 //     it can be cached); NonMinimalPaths draws from rng in a fixed,
 //     input-determined order, and a nil rng yields deterministic
@@ -46,13 +47,10 @@ type Topology interface {
 	NeighborCount(SwitchID) int
 	Neighbors(SwitchID) []SwitchID
 
-	// Routing candidates. NonMinimalPaths builds in the topology's own
-	// embedded arena; NonMinimalPathsIn builds in a caller-owned arena, so
-	// several consumers (e.g. networks on different goroutines) can route
-	// on one shared immutable topology without sharing scratch state.
+	// Routing candidates. NonMinimalPaths builds in the caller-owned
+	// arena a, so consumers sharing one topology never share scratch.
 	MinimalPaths(src, dst SwitchID, max int) []Path
-	NonMinimalPaths(src, dst SwitchID, rng *sim.RNG, max int) []Path
-	NonMinimalPathsIn(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path
+	NonMinimalPaths(a *PathArena, src, dst SwitchID, rng *sim.RNG, max int) []Path
 
 	// Metrics and validation.
 	Valid(Path) bool
@@ -314,10 +312,8 @@ func linkMultiplicity(lk int) int {
 // paths are built in pathNodes and collected in outPaths, so steady-state
 // routing allocates nothing. Both are reset on every call, which is why
 // NonMinimalPaths results must be copied if retained — and why one arena
-// must not serve routing queries from multiple goroutines. Every backend
-// embeds one (backing its NonMinimalPaths convenience method); consumers
-// that need private scratch over a shared topology — every fabric
-// Network — own their own and route through NonMinimalPathsIn.
+// must not serve routing queries from multiple goroutines. The zero value
+// is ready to use; every fabric Network owns one.
 type PathArena struct {
 	pathNodes []SwitchID
 	outPaths  []Path

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -210,10 +211,11 @@ func TestDiameterProperty(t *testing.T) {
 }
 
 func TestNonMinimalPaths(t *testing.T) {
+	var ar PathArena
 	d := small()
 	rng := sim.NewRNG(1)
 	// Same group: detours via third switch.
-	ps := d.NonMinimalPaths(0, 1, rng, 2)
+	ps := d.NonMinimalPaths(&ar, 0, 1, rng, 2)
 	if len(ps) != 2 {
 		t.Fatalf("same-group non-minimal: %v", ps)
 	}
@@ -223,7 +225,7 @@ func TestNonMinimalPaths(t *testing.T) {
 		}
 	}
 	// Cross group: via intermediate group.
-	ps = d.NonMinimalPaths(0, 15, rng, 2)
+	ps = d.NonMinimalPaths(&ar, 0, 15, rng, 2)
 	if len(ps) == 0 {
 		t.Fatal("no cross-group non-minimal paths")
 	}
@@ -248,8 +250,9 @@ func TestNonMinimalPaths(t *testing.T) {
 }
 
 func TestNonMinimalTwoGroups(t *testing.T) {
+	var ar PathArena
 	d := MustNew(Config{Groups: 2, SwitchesPerGroup: 4, NodesPerSwitch: 2, GlobalPerPair: 4})
-	ps := d.NonMinimalPaths(0, 7, sim.NewRNG(2), 3)
+	ps := d.NonMinimalPaths(&ar, 0, 7, sim.NewRNG(2), 3)
 	for _, p := range ps {
 		if !d.Valid(p) {
 			t.Errorf("invalid alt-gateway path %v", p)
@@ -388,4 +391,52 @@ func TestValidRejects(t *testing.T) {
 			found = true
 		}
 	}
+}
+
+// checkArenasIndependent interleaves NonMinimalPaths calls through two
+// caller-owned arenas over one shared topology and compares each result,
+// read only after the other arena's call, with a copy of the same call on
+// a topology of its own. Scratch shared between arenas (or kept in the
+// topology) would clobber the first result before it is compared.
+func checkArenasIndependent(t *testing.T, build func() Topology) {
+	t.Helper()
+	shared, own1, own2 := build(), build(), build()
+	var a1, a2, r1, r2 PathArena
+	rng1, rng2 := sim.NewRNG(11), sim.NewRNG(12)
+	ref1, ref2 := sim.NewRNG(11), sim.NewRNG(12)
+	same := func(got, want []Path) bool { return slices.EqualFunc(got, want, slices.Equal[Path]) }
+	clone := func(ps []Path) []Path {
+		out := make([]Path, len(ps))
+		for i, p := range ps {
+			out[i] = slices.Clone(p)
+		}
+		return out
+	}
+	nonEmpty := 0
+	n := SwitchID(shared.Switches())
+	for src := SwitchID(0); src < n; src++ {
+		for dst := SwitchID(0); dst < n; dst++ {
+			if src == dst {
+				continue
+			}
+			want1 := clone(own1.NonMinimalPaths(&r1, src, dst, ref1, 4))
+			want2 := clone(own2.NonMinimalPaths(&r2, dst, src, ref2, 4))
+			got1 := shared.NonMinimalPaths(&a1, src, dst, rng1, 4)
+			got2 := shared.NonMinimalPaths(&a2, dst, src, rng2, 4)
+			if !same(got1, want1) || !same(got2, want2) {
+				t.Fatalf("%d<->%d: shared-topology arenas gave %v / %v, separate topologies %v / %v",
+					src, dst, got1, got2, want1, want2)
+			}
+			if len(got1) > 0 {
+				nonEmpty++
+			}
+		}
+	}
+	if nonEmpty == 0 {
+		t.Fatal("no pair produced a non-minimal path")
+	}
+}
+
+func TestDragonflyArenasIndependent(t *testing.T) {
+	checkArenasIndependent(t, func() Topology { return small() })
 }
