@@ -141,7 +141,7 @@ func (n *Network) SetFidelity(f Fidelity) {
 func (n *Network) Fidelity() Fidelity { return n.fid }
 
 // FlowsStarted / FlowsCompleted report how many transfers took the fluid
-// path (hybrid classification visibility; tests and benchreport).
+// path (hybrid classification visibility for tests).
 func (n *Network) FlowsStarted() int64   { return n.flowsStarted }
 func (n *Network) FlowsCompleted() int64 { return n.flowsCompleted }
 

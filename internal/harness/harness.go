@@ -82,6 +82,12 @@ func (o Options) validate() error {
 		return fmt.Errorf("negative node count %d", o.Nodes)
 	case o.PPN < 0:
 		return fmt.Errorf("negative processes per node %d", o.PPN)
+	case o.MinIters < 0:
+		return fmt.Errorf("negative min iterations %d", o.MinIters)
+	case o.MaxIters < 0:
+		return fmt.Errorf("negative max iterations %d", o.MaxIters)
+	case o.Jobs < 0:
+		return fmt.Errorf("negative jobs %d", o.Jobs)
 	case o.Domains != 0 && o.Domains != 1:
 		return fmt.Errorf("domains %d: the sharded engine is gone, only 0 or 1 is accepted", o.Domains)
 	case !slices.Contains([]string{"", "A", "B", "C"}, o.Panel):

@@ -237,6 +237,9 @@ func TestRegisterRejectsBadOptions(t *testing.T) {
 	}{
 		{Options{Nodes: -5}, "negative node count"},
 		{Options{PPN: -3}, "negative processes per node"},
+		{Options{MinIters: -5}, "negative min iterations -5"},
+		{Options{MaxIters: -1}, "negative max iterations -1"},
+		{Options{Jobs: -3}, "negative jobs -3"},
 		{Options{Domains: 2}, "domains 2"},
 		{Options{Domains: -1}, "domains -1"},
 		{Options{Fidelity: "quantum"}, "unknown fidelity"},

@@ -248,8 +248,7 @@ func (s *Session) reachable(isRoot func(*FuncFact) bool) map[string]bool {
 }
 
 // SpineList returns the sorted full names of every function reachable
-// from the hotpath roots — the inventory behind `simlint -list-spine`
-// and the spine-size stamp in BENCH_hotpath.json.
+// from the hotpath roots — the inventory behind `simlint -list-spine`.
 func (s *Session) SpineList() []string {
 	reach := s.reachable(hotpathRoot)
 	var out []string

@@ -1,11 +1,11 @@
 // Package lint is simlint: a suite of static analyzers that mechanically
 // enforce the three invariant families every result in this reproduction
 // rests on — bit-exact determinism (the golden files pinning experiment
-// JSON at seed 7), the ~0 allocs/packet hot path (BENCH_hotpath.json and
-// the CI alloc gate), and the nil-your-pointer Event/Packet free-list
-// contract. A careless `range` over a map, a `time.Now()`, a closure in a
-// hot handler, or a retained freed *sim.Event silently breaks goldens or
-// the alloc gate; these analyzers catch them at vet time instead of by
+// JSON at seed 7), the ~0 allocs/packet hot path (the TestHotPathAllocs
+// gate), and the nil-your-pointer Event/Packet free-list contract. A
+// careless `range` over a map, a `time.Now()`, a closure in a hot
+// handler, or a retained freed *sim.Event silently breaks goldens or the
+// alloc gate; these analyzers catch them at vet time instead of by
 // bisecting a golden diff.
 //
 // The suite is self-hosted on go/ast + go/types (no golang.org/x/tools

@@ -89,8 +89,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 
 // Report is a standalone run's outcome: the surviving diagnostics plus
 // the spine inventory (every hotpath-reachable function, sorted) — the
-// list behind `simlint -list-spine` and the spine-size stamp in the
-// perf baseline's meta block.
+// list behind `simlint -list-spine`.
 type Report struct {
 	Diags []Diagnostic
 	Spine []string
@@ -127,17 +126,6 @@ func hasAnalyzer(analyzers []*Analyzer, want *Analyzer) bool {
 		}
 	}
 	return false
-}
-
-// Check loads the patterns and runs the full analyzer suite, returning
-// every surviving diagnostic. It is the programmatic entry point
-// (benchreport uses it to stamp simlint_clean).
-func Check(dir string, patterns ...string) ([]Diagnostic, error) {
-	rep, err := Run(dir, All(), patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Diags, nil
 }
 
 // goList runs `go list -export -deps -json` and decodes the package

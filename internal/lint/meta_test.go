@@ -11,14 +11,14 @@ func TestTreeIsSimlintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("go list -export over ./... compiles the module")
 	}
-	diags, err := Check("../..", "./...")
+	rep, err := Run("../..", All(), "./...")
 	if err != nil {
 		t.Fatalf("loading module packages (needs the go tool): %v", err)
 	}
-	for _, d := range diags {
+	for _, d := range rep.Diags {
 		t.Errorf("%s", d)
 	}
-	if len(diags) > 0 {
+	if len(rep.Diags) > 0 {
 		t.Log("fix the violation or add the analyzer's //simlint: directive with a justification")
 	}
 }

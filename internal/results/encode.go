@@ -61,7 +61,7 @@ func EncodeAll(w io.Writer, format string, rs []*Result) error {
 }
 
 // DecodeJSON reads back a single JSON-encoded Result (the format the
-// json encoder writes for one result — e.g. the tracked bench baseline).
+// json encoder writes for one result — e.g. a result perfbench checks).
 func DecodeJSON(r io.Reader) (*Result, error) {
 	dec := json.NewDecoder(r)
 	res := &Result{}

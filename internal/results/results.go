@@ -6,8 +6,7 @@
 //
 // The model exists so that adding an experiment means registering one
 // Run function, not inventing another ad-hoc result struct with its own
-// String method, and so the CLI and the bench trajectory get
-// machine-readable output for free.
+// String method, and so the CLI gets machine-readable output for free.
 package results
 
 import (
@@ -32,25 +31,10 @@ type Meta struct {
 	// Wall is the host wall-clock time the run took.
 	Wall time.Duration `json:"wall_ns"`
 	// Rev identifies the code revision that produced the result (git
-	// SHA), so archived results — the tracked perf baseline above all —
-	// are attributable to a commit.
+	// SHA), so an archived result is attributable to a commit.
 	Rev string `json:"rev,omitempty"`
 	// GoVersion is the toolchain the producing binary was built with.
 	GoVersion string `json:"go_version,omitempty"`
-	// SimlintClean records whether the simlint static-invariant suite
-	// (internal/lint) reported zero undirectived diagnostics over the
-	// producing tree — i.e. whether the source-level alloc/determinism
-	// gate held at generation time. Nil means the check was not run
-	// (ordinary experiment results); benchreport stamps it on the perf
-	// baseline.
-	SimlintClean *bool `json:"simlint_clean,omitempty"`
-	// SpineFuncs counts the functions simlint's call-graph analysis
-	// proved reachable from the //simlint:hotpath roots at generation
-	// time — the audited per-packet code surface the allocs/unit figures
-	// below cover. A growing spine with flat allocs is broadening
-	// coverage; a shrinking one means hot code fell off the audit.
-	// Zero means the check was not run.
-	SpineFuncs int `json:"spine_funcs,omitempty"`
 }
 
 // Kind discriminates the Value variants.
@@ -142,9 +126,9 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	}
 }
 
-// UnmarshalJSON is the inverse of MarshalJSON, so archived results (e.g.
-// a committed bench baseline) round-trip: null → N.A., quoted → string,
-// integral number without exponent/fraction → int, otherwise float.
+// UnmarshalJSON is the inverse of MarshalJSON, so archived results
+// round-trip: null → N.A., quoted → string, integral number without
+// exponent/fraction → int, otherwise float.
 func (v *Value) UnmarshalJSON(b []byte) error {
 	s := string(b)
 	switch {

@@ -151,9 +151,9 @@ func TestUnknownFormat(t *testing.T) {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	// The tracked bench baseline is decoded back for regression
-	// comparison, so a result must survive encode → decode with every
-	// cell's numeric payload (and N.A.-ness) intact.
+	// Archived results are decoded back for checking, so a result must
+	// survive encode → decode with every cell's numeric payload (and
+	// N.A.-ness) intact.
 	r := goldenResult()
 	r.Meta.Rev = "abc123def456"
 	r.Meta.GoVersion = "go1.24.0"
